@@ -73,7 +73,7 @@ def _pack(shared: bool, data, label: str) -> HpsCoefficients:
     for n in range(n_max + 1):
         values = tuple(col[n] for col in data)
         rows.append(values)
-    return HpsCoefficients.from_rows(rows, label=label)
+    return HpsCoefficients.from_column(rows, label=label)
 
 
 def _map_columns(op, grid, rho, n_max, label, *families):
@@ -112,8 +112,7 @@ def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     for n in range(n_max + 1):
         rows.append(tuple(num_mul(r.values[i], acc(n, i), bits)
                           for i in range(len(grid))))
-    out = HpsCoefficients.from_rows_or_scalars(_collapse(rows),
-                                               label="scalar*" + a.label)
+    out = HpsCoefficients.from_column(_collapse(rows), label="scalar*" + a.label)
     return _attach_witness(out, grid, rho)
 
 

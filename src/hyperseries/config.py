@@ -29,7 +29,8 @@ from typing import Dict, Optional
 from . import corpus, netexpr
 from .nets import ConfigError, EpsGrid, Gauge, GenNum
 from .report import digest
-from .series import HpsCoefficients, HpsSeries, attach_weak_witness, make_series
+from .series import (HpsCoefficients, HpsSeries, MissingWitnessError,
+                     attach_weak_witness, make_series)
 
 DEFAULT_PRECISION = 256
 
@@ -87,10 +88,9 @@ class RunConfig:
                                                self.grid.precision)
             except (OSError, ValueError) as exc:
                 raise ConfigError("cannot read coefficient CSV: %s" % exc)
-            return self._finish_series(coeffs, spec)
-        if coeff_spec is None:
+        elif coeff_spec is None:
             raise ConfigError("series spec lacks 'coeffs'")
-        if isinstance(coeff_spec, list):
+        elif isinstance(coeff_spec, list):
             values = []
             for entry in coeff_spec:
                 expr = netexpr.parse(str(entry))
@@ -111,8 +111,8 @@ class RunConfig:
             try:
                 coeffs = attach_weak_witness(coeffs, rho, self.grid,
                                              n_max=min(64, coeffs.bound_or(64)))
-            except Exception:
-                pass  # witness stays absent; checks will report honestly
+            except (MissingWitnessError, ConfigError):
+                pass  # not weakly moderate, or too short a table to tell
         return make_series(coeffs, center, rho, sigma, self.grid)
 
 
@@ -158,9 +158,7 @@ def load_config(path: Optional[str] = None,
         if required not in gauges:
             raise ConfigError("gauge %r must be defined" % required)
     series_specs = dict(raw.get("series", {}))
-    for name, coeffs in (("geometric", "1"), ("doubling", "2^n"),
-                         ("exponential", "1/factorial(n)"),
-                         ("zero-class", "rho^((n+1)/eps)")):
+    for name, coeffs in corpus.EXPR_FAMILIES.items():
         series_specs.setdefault(name, {"coeffs": coeffs, "center": "0"})
     points = {str(k): str(v) for k, v in raw.get("points", {}).items()}
     normalized = {"precision": precision, "tail_start": tail_start,

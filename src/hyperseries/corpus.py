@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .graf import MollifierSpec, delta_coeffs, make_mollifier
 from .nets import EpsGrid, Gauge, GenNum
@@ -31,28 +31,31 @@ def standard_gauges() -> Tuple[Gauge, Gauge]:
     return Gauge.from_text("eps", "rho"), Gauge.from_text("eps", "sigma")
 
 
+#: Coefficient texts of the expression-backed example families; the run
+#: configuration offers the same texts as its built-in series.
+EXPR_FAMILIES = {"geometric": "1", "doubling": "2^n",
+                 "exponential": "1/factorial(n)",
+                 "zero-class": "rho^((n+1)/eps)"}
+
+
+def _expr_family(name: str) -> HpsCoefficients:
+    return HpsCoefficients.from_expr(EXPR_FAMILIES[name], label=name)
+
+
 def geometric_coeffs() -> HpsCoefficients:
-    return HpsCoefficients.from_expr("1", label="geometric")
+    return _expr_family("geometric")
 
 
 def doubling_coeffs() -> HpsCoefficients:
-    return HpsCoefficients.from_expr("2^n", label="doubling")
+    return _expr_family("doubling")
 
 
 def exponential_coeffs() -> HpsCoefficients:
-    return HpsCoefficients.from_expr("1/factorial(n)", label="exponential")
+    return _expr_family("exponential")
 
 
 def zero_class_coeffs() -> HpsCoefficients:
-    return HpsCoefficients.from_expr("rho^((n+1)/eps)", label="zero-class")
-
-
-CORPUS_NAMES = ("geometric", "doubling", "exponential", "zero-class", "delta")
-
-_EXPR_FAMILIES = {"geometric": geometric_coeffs,
-                  "doubling": doubling_coeffs,
-                  "exponential": exponential_coeffs,
-                  "zero-class": zero_class_coeffs}
+    return _expr_family("zero-class")
 
 
 def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
@@ -66,20 +69,10 @@ def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
         spec = make_mollifier(grid, rho, b_exponent=1, n_max=delta_n_max)
         return make_series(delta_coeffs(spec, delta_n_max, rho), zero,
                            rho, sigma, grid)
-    if name not in _EXPR_FAMILIES:
+    if name not in EXPR_FAMILIES:
         raise KeyError("unknown corpus family %r" % name)
-    coeffs = attach_weak_witness(_EXPR_FAMILIES[name](), rho, grid)
+    coeffs = attach_weak_witness(_expr_family(name), rho, grid)
     return make_series(coeffs, zero, rho, sigma, grid)
-
-
-def corpus_series(grid: EpsGrid, rho: Optional[Gauge] = None,
-                  sigma: Optional[Gauge] = None,
-                  with_delta: bool = True,
-                  delta_n_max: int = 96) -> Dict[str, HpsSeries]:
-    """The named example series, centered at zero, witnesses attached."""
-    names = CORPUS_NAMES if with_delta else CORPUS_NAMES[:-1]
-    return {name: build_series(name, grid, rho, sigma, delta_n_max)
-            for name in names}
 
 
 def delta_setup(grid: EpsGrid, rho: Optional[Gauge] = None,

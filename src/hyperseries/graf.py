@@ -29,8 +29,9 @@ from .nets import (FAIL, PASS, ConfigError, EpsGrid, Gauge, GenNum,
                    Verdict, combine_verdicts, is_negligible)
 from .numerics import (GUARD_BITS, as_mpf, decimal_str, leq_with_slack,
                        working_precision)
-from .series import (HpsCoefficients, HpsSeries, _series_limit_report,
-                     check_weak_moderate, derived_coefficients, make_series)
+from .series import (HpsCoefficients, HpsSeries, _doubling_slopes,
+                     _series_limit_report, _upward_trend, check_weak_moderate,
+                     derived_coefficients, make_series)
 
 
 class InvalidMollifierError(Exception):
@@ -243,8 +244,8 @@ def delta_coeffs(m: MollifierSpec, n_max: int, rho: Gauge) -> HpsCoefficients:
             fact = mpmath.factorial(n)
             rows.append(tuple(mu * as_mpf(m.b.values[i], bits) ** (n + 1) / fact
                               for i in range(len(grid))))
-    out = HpsCoefficients.from_rows_or_scalars(rows, label="delta(b=rho^-%d)"
-                                               % m.b_exponent)
+    out = HpsCoefficients.from_column(rows, label="delta(b=rho^-%d)"
+                                      % m.b_exponent)
     verdict = check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
     if verdict.passed:
         out = out.with_witness(verdict.witness["Q"], verdict.witness["R"])
@@ -300,8 +301,7 @@ def taylor_coeffs(f: DerivativeNet, c: GenNum, n_max: int, rho: Gauge,
                 rows.append(row[0])
             else:
                 rows.append(row)
-    out = HpsCoefficients.from_rows_or_scalars(rows,
-                                               label="taylor(%s)" % f.label)
+    out = HpsCoefficients.from_column(rows, label="taylor(%s)" % f.label)
     verdict = check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
     if verdict.passed:
         out = out.with_witness(verdict.witness["Q"], verdict.witness["R"])
@@ -371,8 +371,9 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
                                    for i in tail])
         magnitudes.append(per_sample)
 
-    slopes = _derivative_slopes(magnitudes, tail, rho_values, grid, n_max)
-    climbing = _slopes_climb(slopes)
+    slopes = _doubling_slopes(magnitudes, tail, rho_values, bits, n_max,
+                              factorial=True)
+    climbing = _upward_trend(slopes)
 
     found = None
     with working_precision(bits + GUARD_BITS):
@@ -435,46 +436,11 @@ def _lattice_holds(magnitudes, factorials, tail, rho_values, bits, n_max,
         bound = kappa_m * rho_values[i] ** -p_m  # n = 0 bound, then scaled
         for n in range(n_max + 1):
             limit = bound * factorials[n]
-            for per_sample in (magnitudes[n],):
-                for sample in per_sample:
-                    if not leq_with_slack(sample[j], limit, bits):
-                        return False
+            for sample in magnitudes[n]:
+                if not leq_with_slack(sample[j], limit, bits):
+                    return False
             bound = bound * geometric
     return True
-
-
-def _derivative_slopes(magnitudes, tail, rho_values, grid, n_max):
-    bits = grid.precision
-    blocks = []
-    top = 8
-    while top <= n_max:
-        blocks.append((max(1, top // 2) + 1, top))
-        top *= 2
-    slopes = []
-    with working_precision(bits):
-        inv_log = [1 / mpmath.log(1 / rho_values[i]) for i in tail]
-        for lo, hi in blocks:
-            best = None
-            for n in range(lo, hi + 1):
-                log_fact = mpmath.log(mpmath.factorial(n))
-                for sample in magnitudes[n]:
-                    for j, value in enumerate(sample):
-                        if value == 0:
-                            continue
-                        stat = (mpmath.log(value) - log_fact) * inv_log[j] / n
-                        if best is None or stat > best:
-                            best = stat
-            slopes.append(best)
-    return slopes
-
-
-def _slopes_climb(slopes) -> bool:
-    values = [s for s in slopes if s is not None]
-    if len(values) < 3:
-        return False
-    d1 = values[-2] - values[-3]
-    d2 = values[-1] - values[-2]
-    return d2 >= mpf("0.05") and d1 >= mpf("0.05") and d2 >= mpf("0.75") * d1
 
 
 def _worst_cell(magnitudes, factorials, tail, n_max):

@@ -25,8 +25,8 @@ import mpmath
 from mpmath import mpf
 
 from . import netexpr
-from .numerics import (Num, as_mpf, decimal_str, leq_with_slack, num_abs,
-                       num_is_zero, num_sub, working_precision)
+from .numerics import (Num, as_mpf, decimal_str, leq_with_slack, num_sub,
+                       working_precision)
 
 PASS = "pass"
 FAIL = "fail"
@@ -239,7 +239,7 @@ class GenNum:
         return GenNum(values=tuple(-v for v in self.values), grid=self.grid)
 
     def __abs__(self):
-        return GenNum(values=tuple(num_abs(v) for v in self.values), grid=self.grid)
+        return GenNum(values=tuple(abs(v) for v in self.values), grid=self.grid)
 
     def mpf_values(self) -> Tuple[mpf, ...]:
         return tuple(as_mpf(v, self.grid.precision) for v in self.values)
@@ -262,9 +262,6 @@ class ExtGenNum:
     @classmethod
     def from_gennum(cls, x: GenNum) -> "ExtGenNum":
         return cls(values=x.mpf_values(), grid=x.grid)
-
-    def is_infinite(self, i: int) -> bool:
-        return mpmath.isinf(self.values[i])
 
     def describe(self) -> list:
         return [decimal_str(v, self.grid.precision) for v in self.values]
@@ -331,7 +328,7 @@ def valuation(x: GenNum, rho: Gauge, grid: EpsGrid) -> Tuple[mpf, ...]:
         for value, rho_value in zip(x.values, rho_values):
             if rho_value >= 1:
                 raise InvalidGaugeError("valuation needs rho < 1 on the grid")
-            if num_is_zero(value):
+            if value == 0:
                 raw.append(mpf("+inf"))
             else:
                 raw.append(mpmath.log(abs(as_mpf(value, grid.precision)))

@@ -47,14 +47,6 @@ def as_mpf(v: Num, bits: int) -> mpf:
         return mpf(v)
 
 
-def num_abs(v: Num) -> Num:
-    return abs(v)
-
-
-def num_is_zero(v: Num) -> bool:
-    return v == 0
-
-
 def num_add(a: Num, b: Num, bits: int) -> Num:
     if is_exact(a) and is_exact(b):
         return Fraction(a) + Fraction(b)
@@ -83,23 +75,6 @@ def num_div(a: Num, b: Num, bits: int) -> Num:
         return Fraction(a) / Fraction(b)
     with working_precision(bits):
         return as_mpf(a, bits) / as_mpf(b, bits)
-
-
-def num_pow_int(a: Num, k: int, bits: int) -> Num:
-    if is_exact(a):
-        if a == 0 and k < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return Fraction(a) ** k
-    with working_precision(bits):
-        return as_mpf(a, bits) ** k
-
-
-def log_abs(v: Num, bits: int) -> mpf:
-    """log|v| as an mpf; ``-inf`` for zero."""
-    with working_precision(bits):
-        if num_is_zero(v):
-            return mpf("-inf")
-        return mpmath.log(abs(as_mpf(v, bits)))
 
 
 def leq_with_slack(a, b, bits: int) -> bool:

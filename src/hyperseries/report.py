@@ -185,4 +185,4 @@ def read_coefficients_csv(path, bits: int = 256):
                 rows.append(values[0])
             else:
                 rows.append(values)
-    return HpsCoefficients.from_rows_or_scalars(rows, label=str(path))
+    return HpsCoefficients.from_column(rows, label=str(path))

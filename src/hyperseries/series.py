@@ -23,6 +23,27 @@ Sums run in increasing ``n`` at working precision and are cut off once a
 geometric majorant of the remaining tail falls below the last representable
 ulp of the partial sum, so results match full summation bit for bit while
 staying desk-scale.
+
+All sums go through one kernel, :func:`_sum_terms`, under one of two stop
+policies that differ only by a tail target.  With no target it sums a block
+``[n_start, n_stop]`` and stops with
+
+* ``complete``: the block end was reached;
+* ``stopped``: STOP_RUN negligible terms in a row (or a table ending inside
+  such a run): the rest cannot move the sum at working precision;
+* ``budget`` / ``growing-budget``: the term budget ran out, the latter while
+  terms kept growing with one sign;
+* ``growing-budget`` also when 64 growing one-sign terms pass the abort size
+  ``rho^-ABORT_EXPONENT``;
+* ``oversized-consistent`` / ``oversized-mixed``: 64 terms in a row beyond
+  the abort size, with one sign (the sum is a lower bound past every size
+  budget) or mixed signs (only the summand size is known).
+
+With ``target = rho^q`` it computes the series limit and stops with
+``converged`` (a ratio majorant of the tail drops below ``target * (1 +
+|partial|)`` or the precision floor, or a negligible run as above),
+``divergent-cap`` (no convergent tail within the term cap, or growth past
+the abort size) or ``table-exhausted`` (a table family ran out first).
 """
 
 from __future__ import annotations
@@ -123,16 +144,8 @@ class HpsCoefficients:
 
     @classmethod
     def from_column(cls, values: Sequence, label: str = "") -> "HpsCoefficients":
+        """Table family; each row is one shared value or a per-point tuple."""
         return cls(rows=tuple(values), label=label)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], label: str = "") -> "HpsCoefficients":
-        return cls(rows=tuple(tuple(r) for r in rows), label=label)
-
-    @classmethod
-    def from_rows_or_scalars(cls, rows: Sequence, label: str = "") -> "HpsCoefficients":
-        """Rows that may mix shared scalars with per-point tuples."""
-        return cls(rows=tuple(rows), label=label)
 
     @classmethod
     def zeros(cls, n_max: int, label: str = "0") -> "HpsCoefficients":
@@ -148,12 +161,6 @@ class HpsCoefficients:
     def with_witness(self, q: int, r: int) -> "HpsCoefficients":
         return HpsCoefficients(expr=self.expr, rows=self.rows, n_max=self.n_max,
                                weak_witness=(q, r), label=self.label)
-
-    def exact_in_n(self) -> bool:
-        """True when entries depend on n alone and evaluate exactly."""
-        if self.rows is not None:
-            return all(not isinstance(r, tuple) and is_exact(r) for r in self.rows)
-        return netexpr.free_vars(self.expr) <= {"n"}
 
     def column_values(self, n_max: int) -> list:
         """Shared per-n values for eps-independent families (exact path)."""
@@ -197,13 +204,13 @@ def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
         rows = coeffs.rows
         n_max = coeffs.n_max
 
-        def from_rows(n: int, i: int) -> Num:
+        def from_table(n: int, i: int) -> Num:
             if n > n_max:
                 raise TableExhaustedError("table ends at n=%d, need %d" % (n_max, n))
             row = rows[n]
             return row[i] if isinstance(row, tuple) else row
 
-        return from_rows
+        return from_table
 
     expr = coeffs.expr
     names = netexpr.free_vars(expr)
@@ -225,6 +232,9 @@ def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
         return pure_n
 
     rho_values = rho.values_on(grid) if "rho" in names else None
+    # values depend on the grid points and the gauge, so they key the memo
+    cache = cache.setdefault(
+        (grid.points, bits, None if rho_values is None else rho.expr), {})
 
     def general(n: int, i: int) -> Num:
         env = {"n": n, "eps": grid.points[i]}
@@ -232,7 +242,7 @@ def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
             env["rho"] = rho_values[i]
         if n > _CACHE_N_LIMIT:
             return netexpr.eval_mpf(expr, env, bits)
-        key = (n, i, bits)
+        key = (n, i)
         if key not in cache:
             cache[key] = netexpr.eval_mpf(expr, env, bits)
         return cache[key]
@@ -320,9 +330,14 @@ def _abs_matrix(coeffs, grid, rho, n_max, indices):
     return out
 
 
-def _doubling_slopes(abs_rows, indices, rho_values, grid, n_max):
-    """max over tail of log|a| / (n log(1/rho)) on dyadic blocks of n."""
-    bits = grid.precision
+def _doubling_slopes(magnitudes, tail, rho_values, bits, n_max,
+                     factorial=False):
+    """Per dyadic block of n, the largest log|a_n| / (n log(1/rho)).
+
+    ``magnitudes[n]`` holds one row of tail values per sample.  With
+    ``factorial`` the statistic is taken of |a_n| / n!, the growth the
+    derivative bound of :func:`graf.graf_check` allows for free.
+    """
     blocks = []
     top = 8
     while top <= n_max:
@@ -330,17 +345,18 @@ def _doubling_slopes(abs_rows, indices, rho_values, grid, n_max):
         top *= 2
     slopes = []
     with working_precision(bits):
-        inv_log = [1 / mpmath.log(1 / rho_values[i]) for i in indices]
+        inv_log = [1 / mpmath.log(1 / rho_values[i]) for i in tail]
         for lo, hi in blocks:
             best = None
             for n in range(lo, hi + 1):
-                for j, i in enumerate(indices):
-                    a = abs_rows[n][j]
-                    if a == 0:
-                        continue
-                    s = mpmath.log(a) * inv_log[j] / n
-                    if best is None or s > best:
-                        best = s
+                offset = mpmath.log(mpmath.factorial(n)) if factorial else 0
+                for sample in magnitudes[n]:
+                    for j, value in enumerate(sample):
+                        if value == 0:
+                            continue
+                        s = (mpmath.log(value) - offset) * inv_log[j] / n
+                        if best is None or s > best:
+                            best = s
             slopes.append(best)
     return slopes
 
@@ -373,7 +389,8 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     tail = list(grid.tail)
     rho_values = rho.values_on(grid)
     abs_rows = _abs_matrix(coeffs, grid, rho, n_max, tail)
-    slopes = _doubling_slopes(abs_rows, tail, rho_values, grid, n_max)
+    slopes = _doubling_slopes([(row,) for row in abs_rows], tail, rho_values,
+                              grid.precision, n_max)
     trend_bad = _upward_trend(slopes)
     found = None
     bits = grid.precision
@@ -561,11 +578,6 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
 
 
 def _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits):
-    with working_precision(bits):
-        return _ratio_estimate_inner(acc, i, n_lo, n_hi, absolutes, bits)
-
-
-def _ratio_estimate_inner(acc, i, n_lo, n_hi, absolutes, bits):
     span = n_hi - n_lo
     step = max(2, span // 10)
     for stride in (1, 2):
@@ -667,152 +679,82 @@ def classify_radius(rad: RadiusEstimate, rho: Gauge, grid: EpsGrid,
 
 
 # ---------------------------------------------------------------------------
-# Summation kernels
+# Summation kernel
 # ---------------------------------------------------------------------------
 
 
-def _sum_block(acc, y_i, i, n_start, n_stop, bits, budget, abort_above=None):
-    """Sum a(n,i) * y^n for n in [n_start, n_stop] in increasing n.
+def _sum_terms(acc, y_i, i, bits, n_start, n_stop, budget, abort_above,
+               target=None):
+    """Sum a(n,i) * y^n for n = n_start, n_start+1, ... in increasing n.
 
-    Returns (value, last_n, status, peak) with status one of ``complete``,
-    ``stopped`` (early stop: the remaining tail cannot move the partial sum
-    at working precision), ``budget``, ``growing-budget``, or
-    ``oversized-consistent`` / ``oversized-mixed`` when a run of terms sits
-    beyond ``abort_above``: with one sign the partial sum is already a
-    lower bound past every tested size budget, with mixed signs only the
-    summand size is known.
+    Returns (value, last_n, status, peak) under the block policy (no
+    ``target``) or the limit policy (``n_stop`` is the term cap) that the
+    module docstring lists with their statuses.  At most ``budget + 1``
+    terms are summed; ``peak``, the largest term size, is kept in block
+    mode only.
     """
+    if target is None:
+        done, out_of_range, blowup = "stopped", "complete", "growing-budget"
+    else:
+        done, out_of_range, blowup = "converged", "divergent-cap", "divergent-cap"
+    last = min(n_stop, n_start + budget)
     with working_precision(bits):
         y = as_mpf(y_i, bits)
         total = mpf(0)
         floor_scale = mpf(2) ** -(bits + GUARD_BITS)
         power = y ** n_start if n_start else mpf(1)
+        recent = []
         previous = None
+        previous_term = None
         peak = mpf(0)
         tiny_run = 0
         grow_run = 0
         huge_run = 0
         huge_consistent = True
-        sign = 0
-        steps = 0
-        n = n_start
-        while n <= n_stop:
-            if steps > budget:
-                status = "growing-budget" if grow_run >= 64 and sign != 0 else "budget"
-                return total, n - 1, status, peak
+        for n in range(n_start, last + 1):
             try:
                 a = acc(n, i)
             except TableExhaustedError:
+                if target is not None:
+                    return None, n - 1, "table-exhausted", peak
                 if tiny_run >= 1:
-                    return total, n - 1, "stopped", peak
+                    return total, n - 1, done, peak
                 raise
             term = as_mpf(a, bits) * power
             total += term
             magnitude = abs(term)
-            if magnitude > peak:
-                peak = magnitude
-            if term == 0:
-                tiny_run += 1
-            else:
-                shrinking = previous is not None and magnitude <= STOP_RATIO * previous
-                new_sign = 1 if term > 0 else -1
-                if previous is not None and magnitude >= previous:
-                    grow_run = grow_run + 1 if sign in (0, new_sign) else 0
-                else:
-                    grow_run = 0
-                if abort_above is not None and magnitude > abort_above:
-                    huge_consistent = huge_consistent and sign in (0, new_sign)
-                    huge_run += 1
-                else:
-                    huge_run = 0
-                    huge_consistent = True
-                sign = new_sign
-                if shrinking and magnitude <= floor_scale * abs(total):
-                    tiny_run += 1
-                else:
-                    tiny_run = 0
-                previous = magnitude
-                if abort_above is not None and grow_run >= 64 \
-                        and magnitude > abort_above:
-                    return total, n, "growing-budget", peak
-                if huge_run >= 64:
-                    status = ("oversized-consistent" if huge_consistent
-                              else "oversized-mixed")
-                    return total, n, status, peak
-            if tiny_run >= STOP_RUN:
-                return total, n, "stopped", peak
-            power *= y
-            n += 1
-            steps += 1
-        return total, n_stop, "complete", peak
-
-
-def hyperfinite_sum(series: HpsSeries, x: GenNum, upper: HyperNat,
-                    budget: int = 10 ** 6) -> GenNum:
-    """Per-point truncated sum to the hypernatural index, increasing n."""
-    grid = series.grid
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
-    rho_values = series.rho.values_on(grid)
-    ys = _offsets(series, x)
-    values = []
-    with working_precision(grid.precision):
-        aborts = [r ** -ABORT_EXPONENT for r in rho_values]
-    for i in range(len(grid)):
-        value, last_n, status, _ = _sum_block(
-            acc, ys[i], i, 0, upper.values[i], grid.precision, budget,
-            abort_above=aborts[i])
-        if status not in ("complete", "stopped"):
-            raise SummationBudgetError(last_n + 1, i)
-        values.append(value)
-    return GenNum(values=tuple(values), grid=grid)
-
-
-def _limit_point(acc, y_i, i, bits, q_exponent, rho_i, n_cap,
-                 abort_above=None):
-    """Adaptive epsilon-wise series limit at one grid point.
-
-    Stops once a geometric majorant of the tail drops below
-    ``rho^q * (1 + |partial|)`` or below the representable floor; reports
-    ``divergent-cap`` when no convergent tail appeared within the cap or
-    when sign-consistent growth blows past ``abort_above``.
-    """
-    with working_precision(bits):
-        y = as_mpf(y_i, bits)
-        total = mpf(0)
-        power = mpf(1)
-        target = rho_i ** q_exponent
-        floor_scale = mpf(2) ** -(bits + GUARD_BITS)
-        recent = []
-        previous = None
-        previous_term = None
-        tiny_run = 0
-        grow_run = 0
-        for n in range(n_cap + 1):
-            a = acc(n, i)
-            term = as_mpf(a, bits) * power
-            total += term
-            magnitude = abs(term)
             if magnitude != 0:
-                if previous is not None and previous != 0:
-                    recent.append(magnitude / previous)
-                    if len(recent) > 4:
-                        recent.pop(0)
+                # signs are compared only where a grow or oversize run needs them
                 if previous is not None and magnitude >= previous \
-                        and previous_term is not None \
                         and (term > 0) == (previous_term > 0):
                     grow_run += 1
                 else:
                     grow_run = 0
-                if len(recent) == 4:
-                    worst = max(recent)
-                    # ratio majorant with a factor-2 guard; sound for the
-                    # non-increasing ratio profiles of admissible families
-                    if worst <= mpf("0.9999"):
-                        tail_bound = 2 * magnitude * worst / (1 - worst)
-                        threshold = target * (1 + abs(total))
-                        if tail_bound <= threshold or \
-                                tail_bound <= floor_scale * (1 + abs(total)):
-                            return total, n, "converged"
+                if target is not None:
+                    if previous is not None:
+                        recent.append(magnitude / previous)
+                        if len(recent) > 4:
+                            recent.pop(0)
+                    if len(recent) == 4:
+                        worst = max(recent)
+                        # ratio majorant with a factor-2 guard; sound for the
+                        # non-increasing ratio profiles of admissible families
+                        if worst <= mpf("0.9999"):
+                            tail_bound = 2 * magnitude * worst / (1 - worst)
+                            if tail_bound <= target * (1 + abs(total)) or \
+                                    tail_bound <= floor_scale * (1 + abs(total)):
+                                return total, n, done, peak
+                else:
+                    if magnitude > peak:
+                        peak = magnitude
+                    if magnitude > abort_above:
+                        huge_consistent = huge_consistent and (
+                            previous_term is None
+                            or (term > 0) == (previous_term > 0))
+                        huge_run += 1
+                    else:
+                        huge_run = 0
+                        huge_consistent = True
                 if previous is not None and magnitude <= floor_scale * abs(total) \
                         and magnitude <= STOP_RATIO * previous:
                     tiny_run += 1
@@ -820,34 +762,67 @@ def _limit_point(acc, y_i, i, bits, q_exponent, rho_i, n_cap,
                     tiny_run = 0
                 previous = magnitude
                 previous_term = term
-                if abort_above is not None and grow_run >= 64 \
-                        and magnitude > abort_above:
-                    return total, n, "divergent-cap"
+                if grow_run >= 64 and magnitude > abort_above:
+                    return total, n, blowup, peak
+                if huge_run >= 64:
+                    status = ("oversized-consistent" if huge_consistent
+                              else "oversized-mixed")
+                    return total, n, status, peak
             else:
                 tiny_run += 1
             if tiny_run >= STOP_RUN:
-                return total, n, "converged"
+                return total, n, done, peak
             power *= y
-        return total, n_cap, "divergent-cap"
+        if last < n_stop:
+            status = ("growing-budget" if grow_run >= 64
+                      and previous_term is not None else "budget")
+            return total, last, status, peak
+        return total, last, out_of_range, peak
+
+
+def _summation(series: HpsSeries, x: GenNum):
+    """The summation kernel bound to (series, x).
+
+    Returns ``sum_at(i, n_start, n_stop, budget, target=None)``, which runs
+    :func:`_sum_terms` at grid index i; the accessor, the offsets and the
+    abort sizes ``rho^-ABORT_EXPONENT`` are built once here.
+    """
+    grid = series.grid
+    bits = grid.precision
+    acc = coeff_accessor(series.coeffs, grid, series.rho)
+    ys = _offsets(series, x)
+    with working_precision(bits):
+        aborts = [r ** -ABORT_EXPONENT for r in series.rho.values_on(grid)]
+
+    def sum_at(i, n_start, n_stop, budget, target=None):
+        return _sum_terms(acc, ys[i], i, bits, n_start, n_stop, budget,
+                          aborts[i], target)
+
+    return sum_at
+
+
+def hyperfinite_sum(series: HpsSeries, x: GenNum, upper: HyperNat,
+                    budget: int = 10 ** 6) -> GenNum:
+    """Per-point truncated sum to the hypernatural index, increasing n."""
+    sum_at = _summation(series, x)
+    values = []
+    for i in range(len(series.grid)):
+        value, last_n, status, _ = sum_at(i, 0, upper.values[i], budget)
+        if status not in ("complete", "stopped"):
+            raise SummationBudgetError(last_n + 1, i)
+        values.append(value)
+    return GenNum(values=tuple(values), grid=series.grid)
 
 
 def _series_limit_report(series: HpsSeries, x: GenNum, q_target: int,
                          n_cap: int):
-    grid = series.grid
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
-    rho_values = series.rho.values_on(grid)
-    ys = _offsets(series, x)
+    """Per grid point (value, status, n_used) of the series limit."""
+    sum_at = _summation(series, x)
+    with working_precision(series.grid.precision):
+        targets = [r ** q_target for r in series.rho.values_on(series.grid)]
     out = []
-    with working_precision(grid.precision):
-        aborts = [r ** -ABORT_EXPONENT for r in rho_values]
-    for i in range(len(grid)):
-        try:
-            value, n_used, status = _limit_point(
-                acc, ys[i], i, grid.precision, q_target, rho_values[i], n_cap,
-                abort_above=aborts[i])
-        except TableExhaustedError:
-            out.append((None, "table-exhausted", series.coeffs.n_max))
-            continue
+    for i, target in enumerate(targets):
+        value, n_used, status, _ = sum_at(i, 0, n_cap, n_cap, target)
         out.append((value, status, n_used))
     return out
 
@@ -880,11 +855,7 @@ def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
     grid = series.grid
     rungs = sigma_ladder(series.sigma, grid, js=range(1, ladder_max + 1))
     clip = series.coeffs.n_max
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
-    ys = _offsets(series, x)
-    rho_values = series.rho.values_on(grid)
-    with working_precision(grid.precision):
-        aborts = [r ** -ABORT_EXPONENT for r in rho_values]
+    sum_at = _summation(series, x)
 
     def clipped(rung):
         if clip is None:
@@ -906,9 +877,7 @@ def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
             lo, hi = low[i], high[i]
             if lo > hi:
                 lo = hi
-            value, _, status, peak = _sum_block(
-                acc, ys[i], i, lo, hi, grid.precision, budget,
-                abort_above=aborts[i])
+            value, _, status, peak = sum_at(i, lo, hi, budget)
             values.append(value)
             statuses.append(status)
             peaks.append(peak)
@@ -1055,15 +1024,12 @@ def _limit_condition(series, x, opts, rho_values):
                          and abs(value) > rho_values[i] ** -opts.moderate_n_max]
         prefix_fail = False
         if len([i for i, _ in computed if i in grid.tail]) >= 2:
-            filled = [value if value is not None else mpf(0)
-                      for value, _, _ in report]
             prefix_grid = EpsGrid(
                 points=tuple(grid.points[i] for i, _ in computed),
                 tail_start=0, precision=grid.precision)
             prefix_net = GenNum(values=tuple(v for _, v in computed),
                                 grid=prefix_grid)
-            prefix_rho = Gauge(expr=series.rho.expr, name=series.rho.name)
-            prefix_fail = is_moderate(prefix_net, prefix_rho, prefix_grid,
+            prefix_fail = is_moderate(prefix_net, series.rho, prefix_grid,
                                       opts.moderate_n_max).failed
         if oversized or prefix_fail:
             return Verdict(
@@ -1085,17 +1051,12 @@ def _limit_condition(series, x, opts, rho_values):
     rungs = sigma_ladder(series.sigma, grid,
                          js=range(1, opts.ladder_max + 1))
     clip = series.coeffs.n_max
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
-    ys = _offsets(series, x)
-    with working_precision(bits):
-        aborts = [r ** -ABORT_EXPONENT for r in rho_values]
+    sum_at = _summation(series, x)
     with working_precision(bits + GUARD_BITS):
         for rung in rungs:
             for i in grid.tail:
                 top = rung.values[i] if clip is None else min(rung.values[i], clip)
-                value, _, status, _ = _sum_block(acc, ys[i], i, 0, top,
-                                                 bits, opts.n_cap,
-                                                 abort_above=aborts[i])
+                value, _, status, _ = sum_at(i, 0, top, opts.n_cap)
                 if status not in ("complete", "stopped"):
                     return Verdict(
                         FAIL,

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -61,6 +63,51 @@ class TestConfig:
         cfg = load_config(None)
         series = cfg.series("1/(n+1)")
         assert series.coeffs.label
+
+    def test_short_table_builds_without_witness(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"series": {"short": {"coeffs": ["1", "1/2", "1/4", "1/8"]}}}))
+        series = load_config(str(path)).series("short")
+        assert series.coeffs.n_max == 3
+        assert series.coeffs.weak_witness is None
+
+    def test_witness_search_errors_propagate(self, monkeypatch):
+        import hyperseries.config as config
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("witness search broke")
+
+        monkeypatch.setattr(config, "attach_weak_witness", broken)
+        with pytest.raises(RuntimeError, match="witness search broke"):
+            load_config(None).series("geometric")
+
+    def test_coefficient_csv_round_trip(self, tmp_path):
+        from hyperseries.report import coefficients_csv_rows, write_csv
+        from hyperseries.series import HpsCoefficients, coeff_accessor
+        cfg = load_config(None)
+        grid, rho = cfg.grid, cfg.rho
+        header = ["n"] + ["eps_%d" % i for i in range(len(grid))]
+        families = {"shared": HpsCoefficients.from_expr("1/2^n"),
+                    "per_point": HpsCoefficients.from_expr("eps^n/(n+1)")}
+        specs = {}
+        for name, family in families.items():
+            path = tmp_path / (name + ".csv")
+            write_csv(path, header,
+                      coefficients_csv_rows(family, grid, rho, 16),
+                      grid.precision)
+            specs[name] = {"coeffs_csv": str(path)}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"series": specs}))
+        cfg = load_config(str(config_path))
+        for name, family in families.items():
+            coeffs = cfg.series(name).coeffs
+            assert coeffs.n_max == 16
+            assert coeffs.weak_witness == (0, 0)
+            back = coeff_accessor(coeffs, grid, rho)
+            original = coeff_accessor(family, grid, rho)
+            assert all(back(n, i) == original(n, i)
+                       for n in range(17) for i in range(len(grid)))
 
 
 class TestReport:
@@ -193,3 +240,16 @@ class TestCliProcess:
         proc = run_cli("converge", "--series", "exponential",
                        "--x=rho^(-1)")
         assert proc.returncode == 2
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

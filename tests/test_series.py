@@ -342,3 +342,24 @@ class TestBallGuarantee:
         ball = ball_guarantee(series.coeffs, rho, grid)
         rho_values = rho.values_on(grid)
         assert all(ball.values[i] == rho_values[i] for i in range(len(grid)))
+
+
+class TestCoefficientMemo:
+    """A family object reused on another grid or gauge must not return the
+    values memoized for the first one."""
+
+    def test_family_reused_on_another_grid(self, rho):
+        family = HpsCoefficients.from_expr("eps^n")
+        radius(family, rho, EpsGrid.decades(1, 8))
+        shifted = EpsGrid.decades(2, 9)
+        reused = radius(family, rho, shifted)
+        fresh = radius(HpsCoefficients.from_expr("eps^n"), rho, shifted)
+        assert reused.r.values == fresh.r.values
+
+    def test_family_reused_under_another_gauge(self, grid, rho):
+        family = HpsCoefficients.from_expr("rho^n")
+        radius(family, rho, grid)
+        squared = Gauge.from_text("eps^2", "rho")
+        reused = radius(family, squared, grid)
+        fresh = radius(HpsCoefficients.from_expr("rho^n"), squared, grid)
+        assert reused.r.values == fresh.r.values
