@@ -23,8 +23,8 @@ from .nets import ConfigError, EpsGrid, Gauge, GenNum, is_moderate
 from .numerics import (as_mpf, decimal_str, is_exact, num_add, num_div,
                        num_mul, num_sub, working_precision)
 from .series import (ConvergeOpts, HpsCoefficients, HpsSeries,
-                     check_weak_moderate, coeff_accessor, converges_at,
-                     derived_coefficients)
+                     check_weak_moderate, coeff_rows, converges_at,
+                     derived_coefficients, point_values)
 
 
 class NotInvertibleError(Exception):
@@ -49,55 +49,16 @@ def _attach_witness(result: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     return result
 
 
-def _as_columns(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge,
-                n_max: int):
-    """(shared, data): one column when entries ignore the grid point,
-    otherwise one column per grid point."""
-    acc = coeff_accessor(coeffs, grid, rho)
-    if coeffs.rows is not None:
-        shared = all(not isinstance(r, tuple) for r in coeffs.rows[:n_max + 1])
-    else:
-        import hyperseries.netexpr as netexpr
-        shared = netexpr.free_vars(coeffs.expr) <= {"n"}
-    if shared:
-        return True, [acc(n, 0) for n in range(n_max + 1)]
-    return False, [[acc(n, i) for n in range(n_max + 1)]
-                   for i in range(len(grid))]
-
-
-def _pack(shared: bool, data, label: str) -> HpsCoefficients:
-    if shared:
-        return HpsCoefficients.from_column(data, label=label)
-    n_max = len(data[0]) - 1
-    rows = []
-    for n in range(n_max + 1):
-        values = tuple(col[n] for col in data)
-        rows.append(values)
-    return HpsCoefficients.from_column(rows, label=label)
-
-
 def _map_columns(op, grid, rho, n_max, label, *families):
-    columns = [_as_columns(f, grid, rho, n_max) for f in families]
-    if all(shared for shared, _ in columns):
-        return _pack(True, op(*[data for _, data in columns]), label)
-    expanded = []
-    for shared, data in columns:
-        expanded.append([data] * len(grid) if shared else data)
-    per_point = [op(*[cols[i] for cols in expanded])
+    """Apply ``op`` to the families' columns: once to the shared columns when
+    no family varies across the grid, otherwise once per grid point."""
+    tables = [coeff_rows(f, grid, rho, n_max) for f in families]
+    if not any(isinstance(row, tuple) for rows in tables for row in rows):
+        return HpsCoefficients.from_column(op(*tables), label=label)
+    per_point = [op(*[[row[i] if isinstance(row, tuple) else row
+                       for row in rows] for rows in tables])
                  for i in range(len(grid))]
-    return _pack(False, per_point, label)
-
-
-def _collapse(rows):
-    """Replace per-point tuples by one shared value where entries agree."""
-    out = []
-    for row in rows:
-        if isinstance(row, tuple) and all(is_exact(v) and v == row[0]
-                                          for v in row):
-            out.append(row[0])
-        else:
-            out.append(row)
-    return tuple(out)
+    return HpsCoefficients.from_column(zip(*per_point), label=label)
 
 
 def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -107,12 +68,10 @@ def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
         raise ConfigError("scalar factor is not moderate on the grid")
     n_max = n_max if n_max is not None else a.bound_or(DEFAULT_DEPTH)
     bits = grid.precision
-    acc = coeff_accessor(a, grid, rho)
-    rows = []
-    for n in range(n_max + 1):
-        rows.append(tuple(num_mul(r.values[i], acc(n, i), bits)
-                          for i in range(len(grid))))
-    out = HpsCoefficients.from_column(_collapse(rows), label="scalar*" + a.label)
+    rows = [tuple(num_mul(factor, value, bits) for factor, value
+                  in zip(r.values, point_values(row, len(grid))))
+            for row in coeff_rows(a, grid, rho, n_max)]
+    out = HpsCoefficients.from_column(rows, label="scalar*" + a.label)
     return _attach_witness(out, grid, rho)
 
 
@@ -169,8 +128,7 @@ def reciprocal_div(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     d_n = (a_n - sum b_l d_(n-l)) / b_0."""
     bits = grid.precision
     rho_values = rho.values_on(grid)
-    acc_b = coeff_accessor(b, grid, rho)
-    head = [acc_b(0, i) for i in range(len(grid))]
+    head = point_values(coeff_rows(b, grid, rho, 0)[0], len(grid))
     margin = _invertibility_margin(head, rho_values, list(grid.tail), bits, m_max)
     if margin is None:
         raise NotInvertibleError(
@@ -266,14 +224,15 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                               "convergence: %s" % report.overall.status)
     grid = series.grid
     bits = grid.precision
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
     shift = tuple(num_sub(a, b, bits)
                   for a, b in zip(new_center.values, series.center.values))
     if series.coeffs.bounded and series.coeffs.n_max < m_max:
         raise ConfigError("m_max beyond the table depth")
+    rows = coeff_rows(series.coeffs, grid, series.rho, m_max)
     columns = []
     with working_precision(bits):
-        for i in range(len(grid)):
+        for i, a in enumerate(zip(*[point_values(row, len(grid))
+                                    for row in rows])):
             d = shift[i]
             column = []
             for n in range(n_max + 1):
@@ -282,14 +241,14 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                 power = Fraction(1) if is_exact(d) else mpf(1)
                 last_term = None
                 for m in range(n, m_max + 1):
-                    term = num_mul(num_mul(acc(m, i), binom, bits), power, bits)
+                    term = num_mul(num_mul(a[m], binom, bits), power, bits)
                     total = term if total is None else num_add(total, term, bits)
                     last_term = term
                     binom = binom * (m + 1) // (m + 1 - n) if isinstance(binom, int) \
                         else Fraction(binom) * (m + 1) / (m + 1 - n)
                     power = num_mul(power, d, bits)
                 # geometric tail audit at the truncation edge
-                tail_ratio = _tail_ratio(acc, i, m_max, n, d, bits)
+                tail_ratio = _tail_ratio(a, m_max, n, d, bits)
                 if tail_ratio is not None:
                     if tail_ratio >= mpf("0.95"):
                         raise InsufficientDepthError(
@@ -305,14 +264,15 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                             % (decimal_str(estimate, 64), n, i))
                 column.append(total)
             columns.append(column)
-    out = _pack(False, columns, "recenter(%s)" % series.coeffs.label)
+    out = HpsCoefficients.from_column(zip(*columns),
+                                      label="recenter(%s)" % series.coeffs.label)
     return _attach_witness(out, grid, series.rho)
 
 
-def _tail_ratio(acc, i, m_max, n, d, bits):
+def _tail_ratio(a, m_max, n, d, bits):
     with working_precision(bits):
-        a_hi = as_mpf(acc(m_max, i), bits)
-        a_lo = as_mpf(acc(m_max - 1, i), bits)
+        a_hi = as_mpf(a[m_max], bits)
+        a_lo = as_mpf(a[m_max - 1], bits)
         if a_lo == 0 or a_hi == 0:
             return None
         growth = abs(a_hi / a_lo) * abs(as_mpf(d, bits))
@@ -328,8 +288,7 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
     """
     bits = grid.precision
     rho_values = rho.values_on(grid)
-    acc = coeff_accessor(a, grid, rho)
-    slopes = [acc(1, i) for i in range(len(grid))]
+    slopes = point_values(coeff_rows(a, grid, rho, 1)[1], len(grid))
     margin = _invertibility_margin(slopes, rho_values, list(grid.tail), bits, m_max)
     if margin is None:
         raise NotInvertibleError(

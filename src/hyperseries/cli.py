@@ -27,7 +27,7 @@ from .series import (ConvergeOpts, DivergentSeriesError, HpsCoefficients,
                      MissingWitnessError, SummationBudgetError,
                      check_strong_eq, check_weak_moderate, classify_radius,
                      converges_at, eventually_bounded, hyperfinite_sum,
-                     radius, series_limit)
+                     radius, series_limit, table_window)
 
 USAGE_ERRORS = (ConfigError, InvalidGaugeError, ParseError, EvalError,
                 NotHypernaturalError, MissingWitnessError)
@@ -97,11 +97,8 @@ def _cmd_strong_eq(cfg, args, sink) -> List[CheckResult]:
 
 def _radius_with_csv(cfg, series_name, window, sink):
     coeffs = _coeffs(cfg, series_name)
-    if coeffs.bounded:
-        window = (min(window[0], max(2, coeffs.n_max // 4)),
-                  min(window[1], coeffs.n_max))
-    estimate = radius(coeffs, cfg.rho, cfg.grid, window=tuple(window),
-                      keep_curve=bool(sink))
+    estimate = radius(coeffs, cfg.rho, cfg.grid,
+                      window=table_window(coeffs, window))
     if sink:
         rows = [(cfg.grid.points[i], estimate.limsup.values[i],
                  estimate.r.values[i], estimate.methods[i])

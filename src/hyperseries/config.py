@@ -62,20 +62,15 @@ class RunConfig:
         if name_or_expr in self._series_cache:
             return self._series_cache[name_or_expr]
         spec = self.series_specs.get(name_or_expr)
-        if spec is None and name_or_expr == "delta":
-            _, coeffs = corpus.delta_setup(self.grid, self.rho)
+        if spec is not None:
+            built = self._build_series(spec)
+        else:
+            if name_or_expr == "delta":
+                _, coeffs = corpus.delta_setup(self.grid, self.rho)
+            else:  # inline coefficient expression
+                coeffs = HpsCoefficients.from_expr(name_or_expr)
             built = make_series(coeffs, GenNum.constant(0, self.grid),
                                 self.rho, self.sigma, self.grid)
-            self._series_cache[name_or_expr] = built
-            return built
-        if spec is None:
-            # inline coefficient expression
-            coeffs = HpsCoefficients.from_expr(name_or_expr)
-            built = make_series(coeffs, GenNum.constant(0, self.grid),
-                                self.rho, self.sigma, self.grid)
-            self._series_cache[name_or_expr] = built
-            return built
-        built = self._build_series(spec)
         self._series_cache[name_or_expr] = built
         return built
 

@@ -296,11 +296,7 @@ def taylor_coeffs(f: DerivativeNet, c: GenNum, n_max: int, rho: Gauge,
         for k in range(n_max + 1):
             net = f.eval_deriv(k, c)
             fact = math.factorial(k)
-            row = tuple(_div_exactish(v, fact, bits) for v in net.values)
-            if all(v == row[0] for v in row):
-                rows.append(row[0])
-            else:
-                rows.append(row)
+            rows.append(tuple(_div_exactish(v, fact, bits) for v in net.values))
     out = HpsCoefficients.from_column(rows, label="taylor(%s)" % f.label)
     verdict = check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
     if verdict.passed:

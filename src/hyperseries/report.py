@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from fractions import Fraction
@@ -144,20 +145,14 @@ def write_csv(path, header, rows, bits: int = 256) -> None:
 
 def coefficients_csv_rows(coeffs, grid, rho, n_max: int):
     """n-major, grid-minor coefficient table rows for CSV export."""
-    from .series import coeff_accessor
-    acc = coeff_accessor(coeffs, grid, rho)
-    rows = []
-    for n in range(n_max + 1):
-        row = [n]
-        for i in range(len(grid)):
-            row.append(acc(n, i))
-        rows.append(row)
-    return rows
+    from .series import coeff_rows, point_values
+    return [[n, *point_values(row, len(grid))]
+            for n, row in enumerate(coeff_rows(coeffs, grid, rho, n_max))]
 
 
 def read_coefficients_csv(path, bits: int = 256):
     """Read a coefficient table written by :func:`write_csv` back into a
-    family; `p/q` cells come back exact, decimal cells as mpf."""
+    family; integer and `p/q` cells come back exact, decimal cells as mpf."""
     from .series import HpsCoefficients
 
     def cell(text):
@@ -165,24 +160,18 @@ def read_coefficients_csv(path, bits: int = 256):
         if "/" in text:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return Fraction(int(text))
         if text in ("inf", "-inf", "nan"):
             raise ValueError("non-finite coefficient in %s" % path)
         import mpmath
         with mpmath.workprec(bits):
             return mpf(text)
 
-    rows = []
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline()
         if not header.startswith("n,"):
             raise ValueError("coefficient CSV must start with an 'n' column")
-        for line in handle:
-            parts = line.rstrip("\n").split(",")
-            values = tuple(cell(p) for p in parts[1:])
-            if len(values) == 1:
-                rows.append(values[0])
-            elif all(isinstance(v, Fraction) and v == values[0] for v in values):
-                rows.append(values[0])
-            else:
-                rows.append(values)
+        rows = [tuple(cell(p) for p in line.rstrip("\n").split(",")[1:])
+                for line in handle]
     return HpsCoefficients.from_column(rows, label=str(path))

@@ -144,8 +144,15 @@ class HpsCoefficients:
 
     @classmethod
     def from_column(cls, values: Sequence, label: str = "") -> "HpsCoefficients":
-        """Table family; each row is one shared value or a per-point tuple."""
-        return cls(rows=tuple(values), label=label)
+        """Table family; each row is one shared value or a per-point tuple.
+
+        This is the one shared-row rule: a tuple whose entries are all exact
+        and equal is stored as that one value.
+        """
+        rows = tuple(row[0] if isinstance(row, tuple)
+                     and all(is_exact(v) and v == row[0] for v in row)
+                     else row for row in values)
+        return cls(rows=rows, label=label)
 
     @classmethod
     def zeros(cls, n_max: int, label: str = "0") -> "HpsCoefficients":
@@ -163,38 +170,24 @@ class HpsCoefficients:
                                weak_witness=(q, r), label=self.label)
 
     def column_values(self, n_max: int) -> list:
-        """Shared per-n values for eps-independent families (exact path)."""
-        if self.rows is not None:
-            if n_max > self.n_max:
-                raise TableExhaustedError("table ends at n=%d, need %d"
-                                          % (self.n_max, n_max))
-            out = []
-            for row in self.rows[:n_max + 1]:
-                if isinstance(row, tuple):
-                    raise ConfigError("family varies across the grid")
-                out.append(row)
-            return out
-        if not netexpr.free_vars(self.expr) <= {"n"}:
+        """Per-n values of a table whose rows are shared by every grid point."""
+        if self.rows is None:
+            raise ConfigError("column_values needs a table; materialize the "
+                              "family first")
+        if n_max > self.n_max:
+            raise TableExhaustedError("table ends at n=%d, need %d"
+                                      % (self.n_max, n_max))
+        rows = self.rows[:n_max + 1]
+        if any(isinstance(row, tuple) for row in rows):
             raise ConfigError("family varies across the grid")
-        out = []
-        for n in range(n_max + 1):
-            exact = netexpr.eval_exact(self.expr, {"n": n})
-            out.append(exact if exact is not None
-                       else netexpr.eval_mpf(self.expr, {"n": n}, 256))
-        return out
+        return list(rows)
 
     def materialize(self, n_max: int, grid: EpsGrid, rho: Gauge,
                     label: str = "") -> "HpsCoefficients":
-        acc = coeff_accessor(self, grid, rho)
-        rows = []
-        for n in range(n_max + 1):
-            values = [acc(n, i) for i in range(len(grid))]
-            if all(is_exact(v) and v == values[0] for v in values):
-                rows.append(values[0])
-            else:
-                rows.append(tuple(values))
-        return HpsCoefficients(rows=tuple(rows), label=label or self.label,
-                               weak_witness=self.weak_witness)
+        out = HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max),
+                                          label=label or self.label)
+        return out if self.weak_witness is None \
+            else out.with_witness(*self.weak_witness)
 
 
 def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
@@ -248,6 +241,31 @@ def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
         return cache[key]
 
     return general
+
+
+def coeff_rows(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge,
+               n_max: int) -> Tuple:
+    """Rows 0..n_max in the :attr:`HpsCoefficients.rows` form.
+
+    Tables give their rows as stored; an expression in ``n`` alone gives one
+    shared value per n, any other expression one per-point tuple per n, both
+    read through :func:`coeff_accessor`.
+    """
+    if coeffs.rows is not None:
+        if n_max > coeffs.n_max:
+            raise TableExhaustedError("table ends at n=%d, need %d"
+                                      % (coeffs.n_max, n_max))
+        return coeffs.rows[:n_max + 1]
+    acc = coeff_accessor(coeffs, grid, rho)
+    if netexpr.free_vars(coeffs.expr) <= {"n"}:
+        return tuple(acc(n, 0) for n in range(n_max + 1))
+    points = range(len(grid))
+    return tuple(tuple(acc(n, i) for i in points) for n in range(n_max + 1))
+
+
+def point_values(row, size: int) -> tuple:
+    """A row of :func:`coeff_rows` with one entry per grid point."""
+    return row if isinstance(row, tuple) else (row,) * size
 
 
 def derived_coefficients(coeffs: HpsCoefficients, order: int = 1) -> HpsCoefficients:
@@ -512,7 +530,15 @@ class RadiusEstimate:
     limsup: ExtGenNum
     window: Tuple[int, int]
     methods: Tuple[str, ...]
-    per_n_curve: Optional[dict] = None
+
+
+def table_window(coeffs: HpsCoefficients,
+                 window: Tuple[int, int]) -> Tuple[int, int]:
+    """The radius window clipped to a table's depth (unchanged otherwise)."""
+    if not coeffs.bounded:
+        return tuple(window)
+    return (min(window[0], max(2, coeffs.n_max // 4)),
+            min(window[1], coeffs.n_max))
 
 
 def _neville_at_zero(ts, ws, bits):
@@ -528,8 +554,7 @@ def _neville_at_zero(ts, ws, bits):
 
 
 def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
-           window: Tuple[int, int] = RADIUS_WINDOW,
-           keep_curve: bool = False) -> RadiusEstimate:
+           window: Tuple[int, int] = RADIUS_WINDOW) -> RadiusEstimate:
     """Estimate the root-curve limit and radius on the given n-window.
 
     Ratio extrapolation (Neville at 1/n -> 0) recovers geometric-type
@@ -545,7 +570,6 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     acc = coeff_accessor(coeffs, grid, rho)
     bits = grid.precision
     r_vals, limsup_vals, methods = [], [], []
-    curves = {} if keep_curve else None
     for i in range(len(grid)):
         with working_precision(bits):
             absolutes = {}
@@ -560,8 +584,6 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
                 methods.append("all-zero")
                 continue
             curve = {n: absolutes[n] ** (mpf(1) / n) for n in nonzero}
-            if keep_curve:
-                curves[i] = {n: decimal_str(curve[n], bits) for n in nonzero}
             estimate = _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits)
             if estimate is not None:
                 limsup_value, method = estimate
@@ -574,7 +596,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     return RadiusEstimate(
         r=ExtGenNum(values=tuple(r_vals), grid=grid),
         limsup=ExtGenNum(values=tuple(limsup_vals), grid=grid),
-        window=window, methods=tuple(methods), per_n_curve=curves)
+        window=window, methods=tuple(methods))
 
 
 def _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits):
@@ -963,11 +985,8 @@ def converges_at(series: HpsSeries, x: GenNum,
     grid = series.grid
     bits = grid.precision
     rho_values = series.rho.values_on(grid)
-    window = opts.window
-    if series.coeffs.bounded:
-        window = (min(window[0], max(2, series.coeffs.n_max // 4)),
-                  min(window[1], series.coeffs.n_max))
-    rad = radius(series.coeffs, series.rho, grid, window=window)
+    rad = radius(series.coeffs, series.rho, grid,
+                 window=table_window(series.coeffs, opts.window))
 
     ys = _offsets(series, x)
     cond_radius = None
@@ -1088,6 +1107,26 @@ class EventualBoundReport:
     verdict: Verdict
 
 
+def _term_magnitudes(series: HpsSeries, x: GenNum, n_max: int):
+    """Per grid point, the summand sizes |a(n, eps) (x - c)^n| for n <= n_max."""
+    grid = series.grid
+    bits = grid.precision
+    ys = _offsets(series, x)
+    rows = coeff_rows(series.coeffs, grid, series.rho, n_max)
+    columns = zip(*[point_values(row, len(grid)) for row in rows])
+    terms = []
+    with working_precision(bits):
+        for y_i, column in zip(ys, columns):
+            y = as_mpf(y_i, bits)
+            power = mpf(1)
+            magnitudes = []
+            for a in column:
+                magnitudes.append(abs(as_mpf(a, bits) * power))
+                power *= y
+            terms.append(magnitudes)
+    return terms
+
+
 def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
                        p_max: int = 8,
                        kappas=(1, 2, 4, 8, 16)) -> EventualBoundReport:
@@ -1100,19 +1139,8 @@ def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
         raise ConfigError("n_max must be >= 8")
     grid = series.grid
     bits = grid.precision
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
     rho_values = series.rho.values_on(grid)
-    ys = _offsets(series, x)
-    terms = []
-    with working_precision(bits):
-        for i in range(len(grid)):
-            y = as_mpf(ys[i], bits)
-            power = mpf(1)
-            column = []
-            for n in range(n_max + 1):
-                column.append(abs(as_mpf(acc(n, i), bits) * power))
-                power *= y
-            terms.append(column)
+    terms = _term_magnitudes(series, x, n_max)
     tail = list(grid.tail)
     with working_precision(bits + GUARD_BITS):
         for n_start in range(n_max // 2 + 1):
@@ -1187,20 +1215,12 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
         h_values = tuple(abs(as_mpf(a, bits)) / abs(as_mpf(b, bits))
                          for a, b in zip(ys, ys_bar))
     h = GenNum(values=h_values, grid=grid)
-    n_start = bound_report.n_start
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
+    head = _term_magnitudes(series, x_bar, bound_report.n_start)
     with working_precision(bits):
-        k_values = []
-        for i in range(len(grid)):
-            y = as_mpf(ys_bar[i], bits)
-            power = mpf(1)
-            head_peak = mpf(0)
-            for n in range(n_start + 1):
-                head_peak = max(head_peak, abs(as_mpf(acc(n, i), bits) * power))
-                power *= y
-            k_values.append(max(head_peak,
-                                as_mpf(bound_report.r_bound.values[i], bits)))
-    big_k = GenNum(values=tuple(k_values), grid=grid)
+        k_values = tuple(max(max(column),
+                             as_mpf(bound_report.r_bound.values[i], bits))
+                         for i, column in enumerate(head))
+    big_k = GenNum(values=k_values, grid=grid)
     limit_net = series_limit(series, x, q_target=opts.q_target,
                              n_cap=opts.n_cap)
     moderate = is_moderate(limit_net, series.rho, grid, opts.moderate_n_max)

@@ -55,9 +55,11 @@ class TestScalarMul:
 
 class TestAdd:
     def test_additive_identity(self, grid, rho):
-        ones = corpus.geometric_coeffs()
-        out = add(ones, HpsCoefficients.zeros(64), grid, rho, n_max=64)
-        assert out.column_values(64) == ones.materialize(64, grid, rho).column_values(64)
+        for family in (corpus.geometric_coeffs(),
+                       HpsCoefficients.from_expr("log(n+2)")):
+            out = add(family, HpsCoefficients.zeros(64), grid, rho, n_max=64)
+            assert out.column_values(64) == \
+                family.materialize(64, grid, rho).column_values(64)
 
     def test_sum_of_limits(self, grid, rho, sigma):
         mixed = add(corpus.geometric_coeffs(), corpus.exponential_coeffs(),

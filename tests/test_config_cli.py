@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,9 @@ class TestConfig:
             original = coeff_accessor(family, grid, rho)
             assert all(back(n, i) == original(n, i)
                        for n in range(17) for i in range(len(grid)))
+        # integer and p/q cells come back exact, so equal rows are shared
+        assert all(isinstance(row, Fraction)
+                   for row in cfg.series("shared").coeffs.rows)
 
 
 class TestReport:

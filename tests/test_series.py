@@ -11,9 +11,10 @@ from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum,
 from hyperseries.numerics import as_mpf, working_precision
 from hyperseries.series import (DivergentSeriesError,
                                 HpsCoefficients, MissingWitnessError,
-                                ShortcutPreconditionError, ball_guarantee,
-                                check_strong_eq, check_weak_moderate,
-                                classify_radius, converge_shortcut,
+                                ShortcutPreconditionError, TableExhaustedError,
+                                ball_guarantee, check_strong_eq,
+                                check_weak_moderate, classify_radius,
+                                coeff_accessor, coeff_rows, converge_shortcut,
                                 converges_at, derivative_net_moderate,
                                 derived_coefficients, eventually_bounded,
                                 hyperfinite_sum, is_formal_hps, make_series,
@@ -302,7 +303,6 @@ class TestSharpBoundOfSummands:
         # once membership passes, the summand at any sampled hypernatural
         # index is a moderate net
         from hyperseries.nets import sigma_ladder
-        from hyperseries.series import coeff_accessor
         cases = [(geometric, GenNum.constant(Fraction(1, 2), grid)),
                  (exponential, GenNum.from_expr("-log(rho)", grid, rho))]
         for series, x in cases:
@@ -342,6 +342,35 @@ class TestBallGuarantee:
         ball = ball_guarantee(series.coeffs, rho, grid)
         rho_values = rho.values_on(grid)
         assert all(ball.values[i] == rho_values[i] for i in range(len(grid)))
+
+
+class TestCoefficientRows:
+    def test_from_column_shares_equal_exact_rows(self):
+        family = HpsCoefficients.from_column(
+            [(Fraction(1), 1, Fraction(1)), (mpf(1), mpf(1), mpf(1)),
+             (Fraction(1), Fraction(2), Fraction(1)), Fraction(3)])
+        assert family.rows == (Fraction(1), (mpf(1), mpf(1), mpf(1)),
+                               (Fraction(1), Fraction(2), Fraction(1)),
+                               Fraction(3))
+
+    def test_coeff_rows_forms(self, grid, rho):
+        table = HpsCoefficients.from_column(
+            [Fraction(1), tuple(Fraction(i) for i in range(len(grid)))])
+        assert coeff_rows(table, grid, rho, 1) == table.rows
+        with pytest.raises(TableExhaustedError):
+            coeff_rows(table, grid, rho, 2)
+        for text in ("1/2^n", "log(n+2)", "eps^n/(n+1)"):
+            family = HpsCoefficients.from_expr(text)
+            rows = coeff_rows(family, grid, rho, 12)
+            acc = coeff_accessor(family, grid, rho)
+            assert len(rows) == 13
+            assert all(isinstance(row, tuple) == (text == "eps^n/(n+1)")
+                       for row in rows)
+            assert all((row[i] if isinstance(row, tuple) else row)
+                       == acc(n, i)
+                       for n, row in enumerate(rows)
+                       for i in range(len(grid)))
+            assert family.materialize(12, grid, rho).rows == rows
 
 
 class TestCoefficientMemo:
