@@ -226,8 +226,6 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
     bits = grid.precision
     shift = tuple(num_sub(a, b, bits)
                   for a, b in zip(new_center.values, series.center.values))
-    if series.coeffs.bounded and series.coeffs.n_max < m_max:
-        raise ConfigError("m_max beyond the table depth")
     rows = coeff_rows(series.coeffs, grid, series.rho, m_max)
     columns = []
     with working_precision(bits):

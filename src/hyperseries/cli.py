@@ -30,7 +30,9 @@ from .series import (ConvergeOpts, DivergentSeriesError, HpsCoefficients,
                      radius, series_limit, table_window)
 
 USAGE_ERRORS = (ConfigError, InvalidGaugeError, ParseError, EvalError,
-                NotHypernaturalError, MissingWitnessError)
+                NotHypernaturalError, MissingWitnessError,
+                algebra.NotInvertibleError, algebra.InsufficientDepthError,
+                graf.InvalidMollifierError, graf.OutOfCheckableRangeError)
 
 
 class _Parser(argparse.ArgumentParser):

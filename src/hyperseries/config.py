@@ -91,9 +91,7 @@ class RunConfig:
                 expr = netexpr.parse(str(entry))
                 if netexpr.free_vars(expr):
                     raise ConfigError("table entries must be constants")
-                exact = netexpr.eval_exact(expr, {})
-                values.append(exact if exact is not None
-                              else netexpr.eval_mpf(expr, {}, self.grid.precision))
+                values.append(netexpr.evaluate(expr, {}, self.grid.precision))
             coeffs = HpsCoefficients.from_column(values)
         else:
             coeffs = HpsCoefficients.from_expr(str(coeff_spec),

@@ -59,29 +59,29 @@ def zero_class_coeffs() -> HpsCoefficients:
 
 
 def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
-                 sigma: Optional[Gauge] = None,
-                 delta_n_max: int = 96) -> HpsSeries:
+                 sigma: Optional[Gauge] = None) -> HpsSeries:
     """One named example series, centered at zero, witness attached."""
     if rho is None or sigma is None:
         rho, sigma = standard_gauges()
-    zero = GenNum.constant(0, grid)
     if name == "delta":
-        spec = make_mollifier(grid, rho, b_exponent=1, n_max=delta_n_max)
-        return make_series(delta_coeffs(spec, delta_n_max, rho), zero,
-                           rho, sigma, grid)
-    if name not in EXPR_FAMILIES:
+        _, coeffs = delta_setup(grid, rho)
+    elif name in EXPR_FAMILIES:
+        coeffs = attach_weak_witness(_expr_family(name), rho, grid)
+    else:
         raise KeyError("unknown corpus family %r" % name)
-    coeffs = attach_weak_witness(_expr_family(name), rho, grid)
-    return make_series(coeffs, zero, rho, sigma, grid)
+    return make_series(coeffs, GenNum.constant(0, grid), rho, sigma, grid)
 
 
-def delta_setup(grid: EpsGrid, rho: Optional[Gauge] = None,
-                b_exponent: int = 1,
-                n_max: int = 96) -> Tuple[MollifierSpec, HpsCoefficients]:
+#: Depth of the delta family: its mollifier's moment table and coefficients.
+DELTA_N_MAX = 96
+
+
+def delta_setup(grid: EpsGrid, rho: Optional[Gauge] = None
+                ) -> Tuple[MollifierSpec, HpsCoefficients]:
     if rho is None:
         rho, _ = standard_gauges()
-    spec = make_mollifier(grid, rho, b_exponent=b_exponent, n_max=n_max)
-    return spec, delta_coeffs(spec, n_max, rho)
+    spec = make_mollifier(grid, rho, b_exponent=1, n_max=DELTA_N_MAX)
+    return spec, delta_coeffs(spec, DELTA_N_MAX, rho)
 
 
 def _dyadic(rng: random.Random, lo=Fraction(1, 2), hi=Fraction(2)) -> Fraction:

@@ -11,11 +11,15 @@ decimal literals, ``+ - * / ^`` with unary minus, and the functions ``log``,
 ``-x^2 == -(x^2)`` and ``2^-3`` parses.  Parsing round-trips through the
 canonical printer: ``parse(print(parse(s)))`` equals ``parse(s)``.
 
-Evaluation has two modes.  ``eval_mpf`` computes at a requested mantissa
-precision.  ``eval_exact`` returns a ``Fraction`` when the expression is
-rational in its inputs (no transcendental calls, integer exponents) and
-``None`` otherwise; coefficient tables use it so series algebra can stay
-exact.
+Evaluation is one tree walk with two modes, sharing every domain guard.
+``eval_mpf`` computes at a requested mantissa precision.  ``eval_exact``
+returns a ``Fraction`` when the expression is rational in its inputs (no
+``log``/``exp``/``sqrt``, integer exponents, results below the bigint
+guards) and ``None`` otherwise.  ``evaluate`` gives the exact value when
+there is one and the mpf value otherwise, so series algebra can stay exact;
+coefficients in ``n`` alone, point nets and config tables use it.  Gauges,
+grid points, function nets, hypernaturals and coefficients that vary with
+the grid point stay in mpf.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional, Tuple, Union
 import mpmath
 from mpmath import mpf
 
-from .numerics import as_mpf, working_precision
+from .numerics import Num, as_mpf, working_precision
 
 VARIABLES = ("eps", "n", "rho", "x")
 FUNCTIONS = ("log", "exp", "sqrt", "abs", "factorial", "floor", "min", "max")
@@ -350,20 +354,57 @@ def eval_mpf(node: Expr, env: dict, bits: int) -> mpf:
     """Evaluate at ``bits`` of mantissa; env binds a subset of eps/n/rho/x."""
     _check_bound(node, env)
     with working_precision(bits):
-        return _eval_mpf(node, env, bits)
+        return _eval(node, env, bits)
 
 
-def _eval_mpf(node: Expr, env: dict, bits: int) -> mpf:
+def eval_exact(node: Expr, env: dict) -> Optional[Fraction]:
+    """Exact evaluation over rationals; None when the value is not rational.
+
+    Supports literals, + - * /, integer powers, factorial, abs, floor,
+    min/max.  ``log``/``exp``/``sqrt``, fractional exponents, inexact inputs
+    and results past the bigint guards return None.
+    """
+    _check_bound(node, env)
+    try:
+        return _eval(node, env, None)
+    except _Inexact:
+        return None
+
+
+def evaluate(node: Expr, env: dict, bits: int) -> Num:
+    """The exact value when it is rational, otherwise the mpf value."""
+    exact = eval_exact(node, env)
+    return exact if exact is not None else eval_mpf(node, env, bits)
+
+
+class _Inexact(Exception):
+    """Exact mode reached a value outside the rationals."""
+
+
+def _floor(value, exact: bool):
+    return Fraction(math.floor(value)) if exact else mpmath.floor(value)
+
+
+def _eval(node: Expr, env: dict, bits: Optional[int]):
+    """The one evaluation walk: exact over the rationals when ``bits`` is
+    None, raising :class:`_Inexact` where a value leaves them, otherwise in
+    mpf at ``bits``.  Every domain guard is shared by both modes."""
+    exact = bits is None
     if isinstance(node, Lit):
-        frac = node.fraction()
-        return as_mpf(frac, bits)
+        value = node.fraction()
+        return value if exact else as_mpf(value, bits)
     if isinstance(node, Var):
-        return as_mpf(env[node.name], bits)
+        value = env[node.name]
+        if not exact:
+            return as_mpf(value, bits)
+        if not isinstance(value, (int, Fraction)):
+            raise _Inexact()
+        return Fraction(value)
     if isinstance(node, Neg):
-        return -_eval_mpf(node.arg, env, bits)
+        return -_eval(node.arg, env, bits)
     if isinstance(node, Bin):
-        left = _eval_mpf(node.left, env, bits)
-        right = _eval_mpf(node.right, env, bits)
+        left = _eval(node.left, env, bits)
+        right = _eval(node.right, env, bits)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -374,12 +415,22 @@ def _eval_mpf(node: Expr, env: dict, bits: int) -> mpf:
             if right == 0:
                 raise EvalError("division by zero", node)
             return left / right
+        if exact and right.denominator != 1:
+            raise _Inexact()
         if left == 0 and right < 0:
             raise EvalError("zero base with negative exponent", node)
+        if exact:
+            # huge exact powers would be megabyte bigints; defer to mpf
+            if abs(right) > _EXACT_POWER_LIMIT and abs(left) not in (0, 1):
+                raise _Inexact()
+            return left ** int(right)
         if left < 0 and right != mpmath.floor(right):
             raise EvalError("negative base with non-integer exponent", node)
         return left ** right
-    fn, args = node.fn, [(_eval_mpf(a, env, bits)) for a in node.args]
+    fn = node.fn
+    if exact and fn in ("log", "exp", "sqrt"):
+        raise _Inexact()
+    args = [_eval(a, env, bits) for a in node.args]
     if fn == "log":
         if args[0] <= 0:
             raise EvalError("log of non-positive value", node)
@@ -393,91 +444,18 @@ def _eval_mpf(node: Expr, env: dict, bits: int) -> mpf:
     if fn == "abs":
         return abs(args[0])
     if fn == "factorial":
-        return _factorial_mpf(args[0], node)
-    if fn == "floor":
-        return mpmath.floor(args[0])
-    if fn == "min":
-        return min(args)
-    return max(args)
-
-
-def _factorial_mpf(value, node) -> mpf:
-    if value != mpmath.floor(value):
-        raise EvalError("factorial of non-integer", node)
-    k = int(value)
-    if k < 0:
-        raise EvalError("factorial of negative integer", node)
-    # exact bigint for small arguments, gamma-based beyond
-    if k <= _EXACT_FACTORIAL_LIMIT:
-        return mpmath.mpf(math.factorial(k))
-    return mpmath.factorial(k)
-
-
-def eval_exact(node: Expr, env: dict) -> Optional[Fraction]:
-    """Exact evaluation over rationals; None when the value is not rational.
-
-    Supports literals, + - * /, integer powers, factorial, abs, floor,
-    min/max.  ``log``/``exp``/``sqrt`` and fractional exponents return None.
-    """
-    _check_bound(node, env)
-    try:
-        return _eval_exact(node, env)
-    except _Inexact:
-        return None
-
-
-class _Inexact(Exception):
-    pass
-
-
-def _eval_exact(node: Expr, env: dict) -> Fraction:
-    if isinstance(node, Lit):
-        return node.fraction()
-    if isinstance(node, Var):
-        value = env[node.name]
-        if not isinstance(value, (int, Fraction)):
-            raise _Inexact()
-        return Fraction(value)
-    if isinstance(node, Neg):
-        return -_eval_exact(node.arg, env)
-    if isinstance(node, Bin):
-        left = _eval_exact(node.left, env)
-        right = _eval_exact(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0:
-                raise EvalError("division by zero", node)
-            return left / right
-        if right.denominator != 1:
-            raise _Inexact()
-        if left == 0 and right < 0:
-            raise EvalError("zero base with negative exponent", node)
-        exponent = int(right)
-        # huge exact powers would be megabyte bigints; defer to mpf
-        if abs(exponent) > _EXACT_POWER_LIMIT and abs(left) not in (0, 1):
-            raise _Inexact()
-        return left ** exponent
-    fn = node.fn
-    if fn in ("log", "exp", "sqrt"):
-        raise _Inexact()
-    args = [_eval_exact(a, env) for a in node.args]
-    if fn == "abs":
-        return abs(args[0])
-    if fn == "factorial":
-        if args[0].denominator != 1:
+        value = args[0]
+        if value != _floor(value, exact):
             raise EvalError("factorial of non-integer", node)
-        if args[0] < 0:
+        if value < 0:
             raise EvalError("factorial of negative integer", node)
-        if args[0] > _EXACT_FACTORIAL_LIMIT:
-            raise _Inexact()  # defer huge factorials to the mpf path
-        return Fraction(math.factorial(int(args[0])))
+        if value > _EXACT_FACTORIAL_LIMIT:
+            if exact:
+                raise _Inexact()  # defer huge factorials to the mpf path
+            return mpmath.factorial(int(value))
+        return (Fraction if exact else mpf)(math.factorial(int(value)))
     if fn == "floor":
-        return Fraction(math.floor(args[0]))
+        return _floor(args[0], exact)
     if fn == "min":
         return min(args)
     return max(args)

@@ -196,9 +196,7 @@ class GenNum:
             env = {"eps": point}
             if rho_value is not None:
                 env["rho"] = rho_value
-            exact = netexpr.eval_exact(expr, env)
-            values.append(exact if exact is not None
-                          else netexpr.eval_mpf(expr, env, grid.precision))
+            values.append(netexpr.evaluate(expr, env, grid.precision))
         return cls(values=tuple(values), grid=grid, expr=expr)
 
     @classmethod
@@ -527,8 +525,7 @@ def hypernat_constant(n: int, grid: EpsGrid) -> HyperNat:
 LADDER_CEILING = 10 ** 18
 
 
-def sigma_ladder(sigma: Gauge, grid: EpsGrid, js=(1, 2, 3, 4),
-                 floor_value: int = 0) -> list:
+def sigma_ladder(sigma: Gauge, grid: EpsGrid, js=(1, 2, 3, 4)) -> list:
     """Hypernaturals floor(sigma^-j) per ladder exponent, clipped to the
     desk-scale ceiling (doubly exponential gauges would otherwise demand
     integers with more digits than memory)."""
@@ -542,7 +539,7 @@ def sigma_ladder(sigma: Gauge, grid: EpsGrid, js=(1, 2, 3, 4),
                 if raw > LADDER_CEILING:
                     values.append(LADDER_CEILING)
                 else:
-                    values.append(max(floor_value, int(mpmath.floor(raw))))
+                    values.append(int(mpmath.floor(raw)))
             out.append(HyperNat(values=tuple(values), grid=grid,
                                 sigma_witness=j))
     return out

@@ -74,6 +74,11 @@ SLOPE_MARGIN = 0.05
 _CACHE_N_LIMIT = 512
 #: Sums abort once sign-consistent growth passes rho^-ABORT_EXPONENT.
 ABORT_EXPONENT = 256
+#: The membership test sums up to the sigma-ladder rungs sigma^-1 ..
+#: sigma^-LADDER_MAX.
+LADDER_MAX = 4
+#: Exponent bound of the moderateness tests on block, limit and derived nets.
+MODERATE_N_MAX = 8
 
 
 class SummationBudgetError(Exception):
@@ -114,8 +119,8 @@ class HpsCoefficients:
     """Doubly indexed family a(n, eps); expression- or table-backed.
 
     ``rows[n]`` is either a single exact/mpf value shared by every grid
-    point or a tuple with one entry per grid point.  Expression-backed
-    families are unbounded in ``n``; tables stop at ``n_max``.
+    point or a tuple with one entry per grid point.  Tables stop at their
+    last row, expression-backed families at ``n_max`` when one is given.
     """
 
     expr: Optional[netexpr.Expr] = None
@@ -191,76 +196,65 @@ class HpsCoefficients:
 
 
 def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
-                   rho: Gauge) -> Callable[[int, int], Num]:
-    """Point accessor ``(n, grid_index) -> value`` with memoized evaluation."""
-    if coeffs.rows is not None:
-        rows = coeffs.rows
-        n_max = coeffs.n_max
+                   rho: Gauge) -> Callable[[int, Optional[int]], Num]:
+    """The one coefficient reader: ``read(n, i)`` is the value at grid index
+    i, ``read(n, None)`` row n in the :attr:`HpsCoefficients.rows` form.
 
-        def from_table(n: int, i: int) -> Num:
-            if n > n_max:
-                raise TableExhaustedError("table ends at n=%d, need %d" % (n_max, n))
+    A read past ``n_max`` raises :class:`TableExhaustedError`, for tables and
+    truncated expression families alike.  An expression in ``n`` alone has
+    one value per n, shared by every grid point and exact where rational
+    (:func:`netexpr.evaluate`); any other expression has one mpf value per
+    grid point.  Values for n up to ``_CACHE_N_LIMIT`` are memoized on the
+    family, keyed by the precision and, for per-point values, by the grid
+    points and the gauge they depend on.
+    """
+    n_max, rows, expr = coeffs.n_max, coeffs.rows, coeffs.expr
+    if expr is not None:
+        names = netexpr.free_vars(expr)
+        shared = names <= {"n"}
+        bits = grid.precision
+        rho_values = rho.values_on(grid) if "rho" in names else None
+        memo = coeffs._cache.setdefault(
+            bits if shared else
+            (grid.points, bits, None if rho_values is None else rho.expr), {})
+
+        def value(n: int, i: Optional[int]) -> Num:
+            key = n if shared else (n, i)
+            found = memo.get(key)
+            if found is not None:
+                return found
+            if shared:
+                found = netexpr.evaluate(expr, {"n": n}, bits)
+            else:
+                env = {"n": n, "eps": grid.points[i]}
+                if rho_values is not None:
+                    env["rho"] = rho_values[i]
+                found = netexpr.eval_mpf(expr, env, bits)
+            if n <= _CACHE_N_LIMIT:
+                memo[key] = found
+            return found
+
+    # ``read`` must not call itself: a self-referencing closure is a cycle
+    # that keeps the memo alive until the cyclic collector runs
+    def read(n: int, i: Optional[int]) -> Num:
+        if n_max is not None and n > n_max:
+            raise TableExhaustedError("table ends at n=%d, need %d" % (n_max, n))
+        if rows is not None:
             row = rows[n]
-            return row[i] if isinstance(row, tuple) else row
+            return row[i] if i is not None and isinstance(row, tuple) else row
+        if shared or i is not None:
+            return value(n, i)
+        return tuple(value(n, j) for j in range(len(grid)))
 
-        return from_table
-
-    expr = coeffs.expr
-    names = netexpr.free_vars(expr)
-    cache = coeffs._cache
-    bits = grid.precision
-    if names <= {"n"}:
-        def pure_n(n: int, i: int) -> Num:
-            if n > _CACHE_N_LIMIT:
-                exact = netexpr.eval_exact(expr, {"n": n})
-                return (exact if exact is not None
-                        else netexpr.eval_mpf(expr, {"n": n}, bits))
-            key = (n, bits)
-            if key not in cache:
-                exact = netexpr.eval_exact(expr, {"n": n})
-                cache[key] = (exact if exact is not None
-                              else netexpr.eval_mpf(expr, {"n": n}, bits))
-            return cache[key]
-
-        return pure_n
-
-    rho_values = rho.values_on(grid) if "rho" in names else None
-    # values depend on the grid points and the gauge, so they key the memo
-    cache = cache.setdefault(
-        (grid.points, bits, None if rho_values is None else rho.expr), {})
-
-    def general(n: int, i: int) -> Num:
-        env = {"n": n, "eps": grid.points[i]}
-        if rho_values is not None:
-            env["rho"] = rho_values[i]
-        if n > _CACHE_N_LIMIT:
-            return netexpr.eval_mpf(expr, env, bits)
-        key = (n, i)
-        if key not in cache:
-            cache[key] = netexpr.eval_mpf(expr, env, bits)
-        return cache[key]
-
-    return general
+    return read
 
 
 def coeff_rows(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge,
                n_max: int) -> Tuple:
-    """Rows 0..n_max in the :attr:`HpsCoefficients.rows` form.
-
-    Tables give their rows as stored; an expression in ``n`` alone gives one
-    shared value per n, any other expression one per-point tuple per n, both
-    read through :func:`coeff_accessor`.
-    """
-    if coeffs.rows is not None:
-        if n_max > coeffs.n_max:
-            raise TableExhaustedError("table ends at n=%d, need %d"
-                                      % (coeffs.n_max, n_max))
-        return coeffs.rows[:n_max + 1]
-    acc = coeff_accessor(coeffs, grid, rho)
-    if netexpr.free_vars(coeffs.expr) <= {"n"}:
-        return tuple(acc(n, 0) for n in range(n_max + 1))
-    points = range(len(grid))
-    return tuple(tuple(acc(n, i) for i in points) for n in range(n_max + 1))
+    """Rows 0..n_max in the :attr:`HpsCoefficients.rows` form, read through
+    :func:`coeff_accessor`."""
+    read = coeff_accessor(coeffs, grid, rho)
+    return tuple(read(n, None) for n in range(n_max + 1))
 
 
 def point_values(row, size: int) -> tuple:
@@ -402,8 +396,6 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     """
     if n_max < 8:
         raise ConfigError("n_max must be >= 8")
-    if coeffs.bounded and coeffs.n_max < n_max:
-        raise ConfigError("table ends at n=%d, need %d" % (coeffs.n_max, n_max))
     tail = list(grid.tail)
     rho_values = rho.values_on(grid)
     abs_rows = _abs_matrix(coeffs, grid, rho, n_max, tail)
@@ -565,8 +557,6 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     n_lo, n_hi = window
     if n_hi - n_lo < 16:
         raise ConfigError("window must span at least 16 indices")
-    if coeffs.bounded and coeffs.n_max < n_hi:
-        raise ConfigError("window end %d beyond table end %d" % (n_hi, coeffs.n_max))
     acc = coeff_accessor(coeffs, grid, rho)
     bits = grid.precision
     r_vals, limsup_vals, methods = [], [], []
@@ -864,18 +854,16 @@ def series_limit(series: HpsSeries, x: GenNum, q_target: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
-                  ladder_max: int = 4, moderate_n_max: int = 8,
+def is_formal_hps(series: HpsSeries, x: GenNum,
                   budget: int = 10 ** 6) -> Verdict:
     """Are all sampled hyperfinite block sums moderate?
 
-    Blocks are taken between consecutive rungs of the sigma-power ladder
-    (clipped to the table end for table-backed families).
+    Blocks are taken between consecutive rungs of the sigma-power ladder,
+    plus the block from 0 to the top rung (clipped to the table end for
+    table-backed families).
     """
-    if sample_count < 4:
-        raise ConfigError("sample_count must be >= 4")
     grid = series.grid
-    rungs = sigma_ladder(series.sigma, grid, js=range(1, ladder_max + 1))
+    rungs = sigma_ladder(series.sigma, grid, js=range(1, LADDER_MAX + 1))
     clip = series.coeffs.n_max
     sum_at = _summation(series, x)
 
@@ -889,7 +877,6 @@ def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
     for low, high in zip(bounds, bounds[1:]):
         pairs.append((low, high))
     pairs.append((bounds[0], bounds[-1]))
-    pairs = pairs[:sample_count]
     block_results = []
     for low, high in pairs:
         values = []
@@ -909,7 +896,7 @@ def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
         name = "block_%d" % idx
         if any(s not in ("complete", "stopped") for s in statuses):
             peak_net = GenNum(values=tuple(peaks), grid=grid)
-            peak_mod = is_moderate(peak_net, series.rho, grid, moderate_n_max)
+            peak_mod = is_moderate(peak_net, series.rho, grid, MODERATE_N_MAX)
             decisive = any(s in ("growing-budget", "oversized-consistent")
                            for s in statuses)
             if decisive or peak_mod.failed:
@@ -925,12 +912,12 @@ def is_formal_hps(series: HpsSeries, x: GenNum, sample_count: int = 5,
                                         notes="budget exhausted inside block")
             continue
         block_net = GenNum(values=tuple(values), grid=grid)
-        results[name] = is_moderate(block_net, series.rho, grid, moderate_n_max)
+        results[name] = is_moderate(block_net, series.rho, grid, MODERATE_N_MAX)
     return combine_verdicts(results)
 
 
 def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
-                            moderate_n_max: int = 8, q_target: int = 6,
+                            q_target: int = 6,
                             n_cap: int = 10 ** 6) -> Verdict:
     """Moderateness of the first k_max derived series at x."""
     if k_max < 1:
@@ -949,7 +936,7 @@ def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
             continue
         net = GenNum(values=tuple(v for v, _, _ in report), grid=series.grid)
         parts["k_%d" % k] = is_moderate(net, series.rho, series.grid,
-                                        moderate_n_max)
+                                        MODERATE_N_MAX)
     return combine_verdicts(parts)
 
 
@@ -971,11 +958,8 @@ class ConvergeOpts:
     margin: int = 6           # strict-gap exponent for |x-c| < r
     q_close: int = 6          # closeness of ladder sums to the limit
     q_target: int = 8         # tail-control target inside series_limit
-    ladder_max: int = 4
     k_max: int = 3
-    moderate_n_max: int = 8
     n_cap: int = 10 ** 6
-    sample_blocks: int = 5
     window: Tuple[int, int] = RADIUS_WINDOW
 
 
@@ -1007,15 +991,11 @@ def converges_at(series: HpsSeries, x: GenNum,
     if cond_radius is None:
         cond_radius = Verdict(PASS, witness={"margin_exponent": opts.margin})
 
-    cond_formal = is_formal_hps(series, x, sample_count=opts.sample_blocks,
-                                ladder_max=opts.ladder_max,
-                                moderate_n_max=opts.moderate_n_max,
-                                budget=opts.n_cap)
+    cond_formal = is_formal_hps(series, x, budget=opts.n_cap)
 
     cond_limit, limit_net = _limit_condition(series, x, opts, rho_values)
 
     cond_derivs = derivative_net_moderate(series, x, k_max=opts.k_max,
-                                          moderate_n_max=opts.moderate_n_max,
                                           q_target=opts.q_target,
                                           n_cap=opts.n_cap)
 
@@ -1040,7 +1020,7 @@ def _limit_condition(series, x, opts, rho_values):
         with working_precision(bits + GUARD_BITS):
             oversized = [i for i, (value, status, _) in enumerate(report)
                          if status == "divergent-cap" and value is not None
-                         and abs(value) > rho_values[i] ** -opts.moderate_n_max]
+                         and abs(value) > rho_values[i] ** -MODERATE_N_MAX]
         prefix_fail = False
         if len([i for i, _ in computed if i in grid.tail]) >= 2:
             prefix_grid = EpsGrid(
@@ -1049,7 +1029,7 @@ def _limit_condition(series, x, opts, rho_values):
             prefix_net = GenNum(values=tuple(v for _, v in computed),
                                 grid=prefix_grid)
             prefix_fail = is_moderate(prefix_net, series.rho, prefix_grid,
-                                      opts.moderate_n_max).failed
+                                      MODERATE_N_MAX).failed
         if oversized or prefix_fail:
             return Verdict(
                 FAIL,
@@ -1061,14 +1041,13 @@ def _limit_condition(series, x, opts, rho_values):
                        notes="series limit not computable within the term cap "
                              "at grid indices %s" % bad), None
     limit_net = GenNum(values=tuple(v for v, _, _ in report), grid=grid)
-    moderate = is_moderate(limit_net, series.rho, grid, opts.moderate_n_max)
+    moderate = is_moderate(limit_net, series.rho, grid, MODERATE_N_MAX)
     if not moderate.passed:
         verdict = Verdict(FAIL, counterexample=moderate.counterexample,
                           notes="limit net is not moderate: " + moderate.notes) \
             if moderate.failed else Verdict(INCONCLUSIVE, notes=moderate.notes)
         return verdict, limit_net
-    rungs = sigma_ladder(series.sigma, grid,
-                         js=range(1, opts.ladder_max + 1))
+    rungs = sigma_ladder(series.sigma, grid, js=range(1, LADDER_MAX + 1))
     clip = series.coeffs.n_max
     sum_at = _summation(series, x)
     with working_precision(bits + GUARD_BITS):
@@ -1128,8 +1107,7 @@ def _term_magnitudes(series: HpsSeries, x: GenNum, n_max: int):
 
 
 def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
-                       p_max: int = 8,
-                       kappas=(1, 2, 4, 8, 16)) -> EventualBoundReport:
+                       p_max: int = 8) -> EventualBoundReport:
     """Uniform moderate bound on the summands from some index on.
 
     Searches the smallest ``n_start`` admitting a bound of the shape
@@ -1146,7 +1124,7 @@ def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
         for n_start in range(n_max // 2 + 1):
             peak = {i: max(terms[i][n_start:]) for i in tail}
             for p in range(p_max + 1):
-                for kappa in kappas:
+                for kappa in (1, 2, 4, 8, 16):
                     if all(peak[i] < kappa * rho_values[i] ** -p for i in tail):
                         bound = GenNum(
                             values=tuple(kappa * rho_values[i] ** -p
@@ -1223,7 +1201,7 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
     big_k = GenNum(values=k_values, grid=grid)
     limit_net = series_limit(series, x, q_target=opts.q_target,
                              n_cap=opts.n_cap)
-    moderate = is_moderate(limit_net, series.rho, grid, opts.moderate_n_max)
+    moderate = is_moderate(limit_net, series.rho, grid, MODERATE_N_MAX)
     if moderate.passed:
         return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],
                                       "h": h.describe(),

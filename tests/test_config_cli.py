@@ -174,6 +174,76 @@ class TestExitCodeContract:
         assert mapping[body["overall"]] == code
 
 
+_ERROR_CASES = [
+    ("algebra", "div", "--series", "geometric", "--series2", "zero-class",
+     "--n-max", "8"),
+    ("algebra", "recenter", "--series", "geometric", "--x", "1/4",
+     "--n-max", "8", "--m-max", "4"),
+]
+
+#: Public exceptions that no subcommand can raise, with the reason.
+_UNREACHABLE_FROM_CLI = {
+    "ShortcutPreconditionError":
+        "only converge_shortcut raises it, and no subcommand calls it",
+}
+
+
+def _public_exceptions():
+    import importlib
+    import inspect
+    import pkgutil
+    import hyperseries
+    found = {}
+    for info in pkgutil.iter_modules(hyperseries.__path__):
+        module = importlib.import_module("hyperseries." + info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and not name.startswith("_") \
+                    and cls.__module__ == module.__name__:
+                found[name] = cls
+    return found
+
+
+def _documented_exit_rows():
+    text = (Path(__file__).resolve().parents[1] / "docs"
+            / "report-schema.md").read_text()
+    return {int(line.split("|")[1]): line for line in text.splitlines()
+            if line.startswith("| ") and line.split("|")[1].strip().isdigit()}
+
+
+class TestErrorExits:
+    """Errors end in a documented exit code and one error line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", _ERROR_CASES,
+                             ids=[" ".join(c[:2]) for c in _ERROR_CASES])
+    def test_algebra_error_is_one_config_error_line(self, argv, capsys):
+        from hyperseries.cli import main
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    def test_every_public_exception_has_a_documented_exit(self, monkeypatch,
+                                                          capsys):
+        from hyperseries import cli
+        rows = _documented_exit_rows()
+        exceptions = _public_exceptions()
+        assert set(_UNREACHABLE_FROM_CLI) <= set(exceptions)
+        for name, cls in sorted(exceptions.items()):
+            if name in _UNREACHABLE_FROM_CLI:
+                continue
+
+            def raise_it(cfg, args, sink, exc=cls.__new__(cls)):
+                raise exc
+
+            monkeypatch.setattr(cli, "_cmd_moderate", raise_it)
+            code = cli.main(["moderate", "--x", "1"])
+            capsys.readouterr()
+            assert code in rows and code != 0, name
+            assert "`%s`" % name in rows[code], name
+
+
 @pytest.mark.slow
 class TestCliProcess:
     def test_moderate_pass(self):

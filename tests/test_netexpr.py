@@ -7,7 +7,8 @@ from mpmath import mpf
 
 from hyperseries import netexpr
 from hyperseries.netexpr import (Bin, Call, EvalError, Lit, Neg, ParseError,
-                                 Var, eval_exact, eval_mpf, parse, to_text)
+                                 Var, eval_exact, eval_mpf, evaluate, parse,
+                                 to_text)
 
 
 def test_power_ast_shape():
@@ -94,6 +95,51 @@ def test_exact_evaluation_stays_rational():
     assert eval_exact(parse("2^n"), {"n": 10}) == 1024
     assert eval_exact(parse("exp(1)"), {}) is None
     assert eval_exact(parse("rho^n"), {"rho": mpf("0.1"), "n": 2}) is None
+
+
+_FINITE = "finite"
+
+# text, then the outcome of eval_exact and of eval_mpf: an EvalError cause,
+# None (no rational value) or a finite mpf value
+_MODES = [
+    ("1/0", "division by zero", "division by zero"),
+    ("0^(0-1)", "zero base with negative exponent",
+     "zero base with negative exponent"),
+    ("factorial(0-2)", "factorial of negative integer",
+     "factorial of negative integer"),
+    ("factorial(1/2)", "factorial of non-integer", "factorial of non-integer"),
+    ("log(0-1)", None, "log of non-positive value"),
+    ("sqrt(0-4)", None, "sqrt of negative value"),
+    ("(0-8)^(1/3)", None, "negative base with non-integer exponent"),
+    ("2^20000", None, _FINITE),
+    ("factorial(10001)", None, _FINITE),
+]
+
+
+@pytest.mark.parametrize("text,exact,inexact", _MODES,
+                         ids=[row[0] for row in _MODES])
+def test_exact_and_mpf_modes_share_their_guards(text, exact, inexact):
+    node = parse(text)
+    messages = []
+    for run, expected in ((lambda: eval_exact(node, {}), exact),
+                          (lambda: eval_mpf(node, {}, 64), inexact)):
+        if expected is None:
+            assert run() is None
+        elif expected == _FINITE:
+            assert mpmath.isfinite(run())
+        else:
+            with pytest.raises(EvalError) as err:
+                run()
+            assert str(err.value).startswith(expected + " in ")
+            messages.append(str(err.value))
+    assert len(set(messages)) <= 1
+
+
+def test_evaluate_prefers_the_exact_value():
+    value = evaluate(parse("(n+1)/4"), {"n": 2}, 64)
+    assert isinstance(value, Fraction) and value == Fraction(3, 4)
+    value = evaluate(parse("exp(1)"), {}, 64)
+    assert isinstance(value, mpf) and abs(value - mpmath.e) < mpf(2) ** -50
 
 
 def test_decimal_literals_are_exact():

@@ -372,10 +372,41 @@ class TestCoefficientRows:
                        for i in range(len(grid)))
             assert family.materialize(12, grid, rho).rows == rows
 
+    def test_truncated_expression_ends_like_its_table(self, grid, rho, sigma):
+        truncated = HpsCoefficients.from_expr("1", n_max=10)
+        table = HpsCoefficients.from_column([Fraction(1)] * 11)
+        assert coeff_rows(truncated, grid, rho, 10) == table.rows
+        with pytest.raises(TableExhaustedError):
+            coeff_rows(truncated, grid, rho, 11)
+        zero = GenNum.constant(0, grid)
+        half = GenNum.constant(Fraction(1, 2), grid)
+        for family in (truncated, table):
+            series = make_series(family, zero, rho, sigma, grid)
+            with pytest.raises(DivergentSeriesError):
+                series_limit(series, half)
+
 
 class TestCoefficientMemo:
     """A family object reused on another grid or gauge must not return the
     values memoized for the first one."""
+
+    def test_reader_is_freed_without_the_cycle_collector(self, grid, rho):
+        # a reader inside a reference cycle keeps its memo alive until the
+        # cyclic collector runs, which raises peak memory under load
+        import gc
+        import weakref
+        for family in (HpsCoefficients.from_expr("1/2^n"),
+                       HpsCoefficients.from_expr("eps^n"),
+                       HpsCoefficients.from_column([Fraction(1)] * 4)):
+            read = coeff_accessor(family, grid, rho)
+            read(3, None)
+            ref = weakref.ref(read)
+            gc.disable()
+            try:
+                del read
+                assert ref() is None
+            finally:
+                gc.enable()
 
     def test_family_reused_on_another_grid(self, rho):
         family = HpsCoefficients.from_expr("eps^n")
