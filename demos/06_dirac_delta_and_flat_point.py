@@ -37,7 +37,7 @@ series = make_series(family, GenNum.constant(0, grid), rho, sigma, grid)
 drho = GenNum.from_expr("rho", grid, rho)
 upper = hypernat_from_expr("1/eps", sigma, grid)
 partial = hyperfinite_sum(series, drho, upper)
-direct = delta_eval(spec, drho, rho)
+direct = delta_eval(spec, drho)
 print("series vs b*mu(b x) at x = rho:",
       ext_eq(partial, direct, rho, grid, q_max=4).status)
 

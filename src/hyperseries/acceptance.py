@@ -398,7 +398,7 @@ def criterion_09_delta(env: SuiteEnv) -> CheckResult:
     upper = hypernat_from_expr("1/eps", sigma, grid)
     floor_ok = all(upper.values[i] >= 8 for i in grid.tail)
     partial = hyperfinite_sum(delta_series, drho, upper)
-    direct = graf.delta_eval(spec, drho, rho)
+    direct = graf.delta_eval(spec, drho)
     close = _tail_close(partial, direct, grid, rho, 4)
     ok = odd_zero and witness_ok and radius_ok and floor_ok and close
     return _result("dirac-delta", ok,

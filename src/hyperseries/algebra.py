@@ -38,9 +38,9 @@ class InsufficientDepthError(Exception):
 DEFAULT_DEPTH = 258
 
 
-def _attach_witness(result: HpsCoefficients, grid: EpsGrid, rho: Gauge,
-                    check_n: int = 64) -> HpsCoefficients:
-    check_n = min(check_n, result.bound_or(check_n))
+def _attach_witness(result: HpsCoefficients, grid: EpsGrid,
+                    rho: Gauge) -> HpsCoefficients:
+    check_n = min(64, result.bound_or(64))
     if check_n < 8:
         return result
     verdict = check_weak_moderate(result, rho, grid, n_max=check_n)
@@ -158,15 +158,12 @@ def _compose_column(outer, inner, n_max, bits):
     out = [outer[0]] + [None] * n_max
     power = tilde[:]  # tilde^1
     for k in range(1, n_max + 1):
-        a_k = outer[k] if k < len(outer) else None
-        if a_k is not None:
-            for n in range(k, n_max + 1):
-                term = num_mul(a_k, power[n], bits)
-                out[n] = term if out[n] is None else num_add(out[n], term, bits)
+        for n in range(k, n_max + 1):
+            term = num_mul(outer[k], power[n], bits)
+            out[n] = term if out[n] is None else num_add(out[n], term, bits)
         if k < n_max:
             power = _convolve(power, tilde, n_max, bits)
-    zero = Fraction(0)
-    return [zero if v is None else v for v in out]
+    return out
 
 
 def compose(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
@@ -217,6 +214,9 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
     m_max; raises when the geometric estimate of the dropped tail is not
     below ``tail_tol`` relative to the computed entry.
     """
+    if m_max < n_max:
+        raise ConfigError("recenter needs m_max >= n_max (got %d < %d)"
+                          % (m_max, n_max))
     if check:
         report = converges_at(series, new_center, opts)
         if not report.overall.passed:
@@ -242,8 +242,7 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                     term = num_mul(num_mul(a[m], binom, bits), power, bits)
                     total = term if total is None else num_add(total, term, bits)
                     last_term = term
-                    binom = binom * (m + 1) // (m + 1 - n) if isinstance(binom, int) \
-                        else Fraction(binom) * (m + 1) / (m + 1 - n)
+                    binom = binom * (m + 1) / (m + 1 - n)
                     power = num_mul(power, d, bits)
                 # geometric tail audit at the truncation edge
                 tail_ratio = _tail_ratio(a, m_max, n, d, bits)
@@ -284,6 +283,8 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
     Solved order by order; order n of the composition is linear in g_n with
     coefficient a_1, so an invertibility margin on a_1 drives the division.
     """
+    if n_max < 1:
+        raise ConfigError("reverse needs n_max >= 1")
     bits = grid.precision
     rho_values = rho.values_on(grid)
     slopes = point_values(coeff_rows(a, grid, rho, 1)[1], len(grid))

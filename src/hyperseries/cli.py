@@ -208,7 +208,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
         out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
-                               args.m_max or 4 * args.n_max)
+                               args.m_max)
     else:
         out = algebra.reverse(a, args.n_max, grid, rho, m_max=args.m_max)
     depth = min(out.bound_or(args.n_max), args.n_max)
@@ -227,20 +227,21 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
 def _cmd_graf(cfg, args, sink) -> List[CheckResult]:
     grid, rho = cfg.grid, cfg.rho
     zero = GenNum.constant(0, grid)
+    k_max = args.n_max + 8
     if args.net == "exp":
         net = graf.DerivativeNet.from_uniform_expr("exp(x)", grid, rho,
-                                                   label="exp")
+                                                   k_max=k_max, label="exp")
         ball = GenNum.constant(1, grid)
         samples = [GenNum.constant(Fraction(k, 10), grid) for k in (-5, 0, 5)]
     elif args.net == "delta":
         spec, _ = corpus.delta_setup(grid, rho)
-        net = graf.delta_derivative_net(spec, k_max=args.n_max + 8)
+        net = graf.delta_derivative_net(spec, k_max=k_max)
         ball = GenNum.from_expr("rho", grid, rho)
         samples = [zero, GenNum.from_expr("rho/2", grid, rho),
                    GenNum.from_expr("-rho/2", grid, rho)]
     else:
         series = cfg.series(args.series)
-        net = graf.DerivativeNet.from_series(series, k_max=args.n_max + 8)
+        net = graf.DerivativeNet.from_series(series, k_max=k_max)
         ball = GenNum.from_expr("rho^6", grid, rho)
         samples = [zero, GenNum.from_expr("rho^8", grid, rho)]
     witness = graf.graf_check(net, zero, ball, args.n_max, samples, rho, grid)

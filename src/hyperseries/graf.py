@@ -15,8 +15,9 @@ that the admissibility check must reject.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
@@ -27,11 +28,10 @@ from mpmath import mpf
 from . import netexpr
 from .nets import (FAIL, PASS, ConfigError, EpsGrid, Gauge, GenNum,
                    Verdict, combine_verdicts, is_negligible)
-from .numerics import (GUARD_BITS, as_mpf, decimal_str, leq_with_slack,
-                       working_precision)
+from .numerics import GUARD_BITS, as_mpf, decimal_str, working_precision
 from .series import (HpsCoefficients, HpsSeries, _doubling_slopes,
-                     _series_limit_report, _upward_trend, check_weak_moderate,
-                     derived_coefficients, make_series)
+                     _first_bound, _series_limit_report, _upward_trend,
+                     check_weak_moderate, derived_coefficients)
 
 
 class InvalidMollifierError(Exception):
@@ -68,14 +68,13 @@ class DerivativeNet:
         return self.evaluator(k, x)
 
     @classmethod
-    def from_series(cls, series: HpsSeries, k_max: int = 64,
-                    q_target: int = 10, n_cap: int = 10 ** 6,
-                    label: str = "") -> "DerivativeNet":
+    def from_series(cls, series: HpsSeries, k_max: int = 64) -> "DerivativeNet":
+        """Derivatives as limits of the derived series, to rho^10 tails."""
         def evaluate(k: int, x: GenNum) -> GenNum:
-            coeffs = series.coeffs if k == 0 else derived_coefficients(series.coeffs, k)
-            shifted = make_series(coeffs, series.center, series.rho,
-                                  series.sigma, series.grid)
-            report = _series_limit_report(shifted, x, q_target, n_cap)
+            derived = series if k == 0 else replace(
+                series, coeffs=derived_coefficients(series.coeffs, k))
+            report = _series_limit_report(derived, x, q_target=10,
+                                          n_cap=10 ** 6)
             bad = [i for i, (_, status, _) in enumerate(report)
                    if status != "converged"]
             if bad:
@@ -84,7 +83,7 @@ class DerivativeNet:
             return GenNum(values=tuple(v for v, _, _ in report), grid=series.grid)
 
         return cls(evaluator=evaluate, k_max=k_max,
-                   label=label or "series(%s)" % series.coeffs.label)
+                   label="series(%s)" % series.coeffs.label)
 
     @classmethod
     def from_uniform_expr(cls, text_or_expr, grid: EpsGrid, rho: Gauge,
@@ -171,11 +170,11 @@ class MollifierSpec:
         with working_precision(self.grid.precision):
             return self.moments[0] / (2 * mpmath.pi)
 
-    def mu_series_at(self, k: int, y: mpf, tail_tol: str = "1e-40") -> mpf:
+    def mu_series_at(self, k: int, y: mpf) -> mpf:
         """mu^(k)(y) through the moment series, with a factorial tail audit.
 
         Every derivative of the mollifier is bounded by the zeroth moment,
-        so a raw factorial tail below ``tail_tol`` leaves all gauge-power
+        so a raw factorial tail below 1e-40 leaves all gauge-power
         comparisons in the package untouched.
         """
         bits = self.grid.precision
@@ -183,7 +182,7 @@ class MollifierSpec:
             y = as_mpf(y, bits)
             top = self.n_max - k
             tail = abs(y) ** (top + 1) / mpmath.factorial(top + 1)
-            if not tail <= mpf(tail_tol):
+            if not tail <= mpf("1e-40"):
                 raise OutOfCheckableRangeError(
                     "argument magnitude %s defeats the truncated moment series"
                     % decimal_str(abs(y), 64))
@@ -252,19 +251,6 @@ def delta_coeffs(m: MollifierSpec, n_max: int, rho: Gauge) -> HpsCoefficients:
     return out
 
 
-def delta_eval(m: MollifierSpec, x: GenNum, rho: Gauge) -> GenNum:
-    """delta(x) = b * mu(b x) through the moment series of the mollifier."""
-    grid = m.grid
-    bits = grid.precision
-    values = []
-    with working_precision(bits):
-        for i in range(len(grid)):
-            b_i = as_mpf(m.b.values[i], bits)
-            y = b_i * as_mpf(x.values[i], bits)
-            values.append(b_i * m.mu_series_at(0, y))
-    return GenNum(values=tuple(values), grid=grid)
-
-
 def delta_derivative_net(m: MollifierSpec, k_max: int = 64) -> DerivativeNet:
     """Derivative evaluators of the delta embedding: b^(k+1) mu^(k)(b x)."""
     grid = m.grid
@@ -280,6 +266,11 @@ def delta_derivative_net(m: MollifierSpec, k_max: int = 64) -> DerivativeNet:
         return GenNum(values=tuple(values), grid=grid)
 
     return DerivativeNet(evaluator=evaluate, k_max=k_max, label="delta")
+
+
+def delta_eval(m: MollifierSpec, x: GenNum) -> GenNum:
+    """delta(x) = b * mu(b x) through the moment series of the mollifier."""
+    return delta_derivative_net(m).eval_deriv(0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +362,12 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
                               factorial=True)
     climbing = _upward_trend(slopes)
 
-    found = None
     with working_precision(bits + GUARD_BITS):
         factorials = [mpmath.factorial(n) for n in range(n_max + 1)]
-        for q in _HALF_LATTICE:
-            if found:
-                break
-            for p in _HALF_LATTICE:
-                if found:
-                    break
-                for lam in _SCALE_LATTICE:
-                    if found:
-                        break
-                    for kappa in _KAPPA_LATTICE:
-                        if _lattice_holds(magnitudes, factorials, tail,
-                                          rho_values, bits, n_max,
-                                          q, p, lam, kappa):
-                            found = (q, p, lam, kappa)
-                            break
+    found = _first_bound(magnitudes, tail, rho_values, bits,
+                         itertools.product(_HALF_LATTICE, _HALF_LATTICE,
+                                           _SCALE_LATTICE, _KAPPA_LATTICE),
+                         factorials)
     if climbing:
         worst = _worst_cell(magnitudes, factorials, tail, n_max)
         verdict = Verdict(FAIL, counterexample={
@@ -419,24 +398,6 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
                          c_bound=GenNum(values=c_values, grid=grid),
                          r_bound=GenNum(values=r_values, grid=grid),
                          verdict=verdict, inv_r_exponent=inv_r)
-
-
-def _lattice_holds(magnitudes, factorials, tail, rho_values, bits, n_max,
-                   q, p, lam, kappa):
-    q_m = as_mpf(q, bits)
-    p_m = as_mpf(p, bits)
-    lam_m = as_mpf(lam, bits)
-    kappa_m = as_mpf(kappa, bits)
-    for j, i in enumerate(tail):
-        geometric = lam_m ** -1 * rho_values[i] ** -q_m
-        bound = kappa_m * rho_values[i] ** -p_m  # n = 0 bound, then scaled
-        for n in range(n_max + 1):
-            limit = bound * factorials[n]
-            for sample in magnitudes[n]:
-                if not leq_with_slack(sample[j], limit, bits):
-                    return False
-            bound = bound * geometric
-    return True
 
 
 def _worst_cell(magnitudes, factorials, tail, n_max):

@@ -48,7 +48,7 @@ the abort size) or ``table-exhausted`` (a table family ran out first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -306,18 +306,17 @@ class HpsSeries:
     rho: Gauge
     sigma: Gauge
     grid: EpsGrid
-    sigma_le_rho: Verdict
-    center_moderate: Verdict
 
 
 def make_series(coeffs: HpsCoefficients, center: GenNum, rho: Gauge,
                 sigma: Gauge, grid: EpsGrid) -> HpsSeries:
-    center_mod = is_moderate(center, rho, grid, n_max=8)
-    if center_mod.failed:
+    """A series after its inputs are checked: the center must be moderate and
+    both gauges valid on the grid."""
+    if is_moderate(center, rho, grid, n_max=8).failed:
         raise ConfigError("series center is not moderate on the grid")
-    relation = gauge_le_star(sigma, rho, grid)
+    sigma.values_on(grid)
     return HpsSeries(coeffs=coeffs, center=center, rho=rho, sigma=sigma,
-                     grid=grid, sigma_le_rho=relation, center_moderate=center_mod)
+                     grid=grid)
 
 
 def _offsets(series: HpsSeries, x: GenNum) -> Tuple[Num, ...]:
@@ -383,6 +382,33 @@ def _upward_trend(slopes) -> bool:
     return d2 >= SLOPE_MARGIN and d1 >= SLOPE_MARGIN and d2 >= 0.75 * d1
 
 
+def _first_bound(magnitudes, tail, rho_values, bits, lattice, factorials=None):
+    """The first lattice point (q, p, lam, kappa) whose geometric bound
+    ``kappa rho^-p (n!) (lam rho^q)^-n`` holds at every cell.
+
+    ``magnitudes[n]`` holds one row of tail values per sample; the ``n!``
+    weight applies only when ``factorials`` is given.  Returns None when no
+    point holds.
+    """
+    def holds(q, p, lam, kappa):
+        for j, i in enumerate(tail):
+            geometric = lam ** -1 * rho_values[i] ** -q
+            bound = kappa * rho_values[i] ** -p  # n = 0 bound, then scaled
+            for n, samples in enumerate(magnitudes):
+                limit = bound if factorials is None else bound * factorials[n]
+                for sample in samples:
+                    if not leq_with_slack(sample[j], limit, bits):
+                        return False
+                bound = bound * geometric
+        return True
+
+    with working_precision(bits + GUARD_BITS):
+        for point in lattice:
+            if holds(*(as_mpf(v, bits) for v in point)):
+                return point
+    return None
+
+
 def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
                         n_max: int = 64, q_max: int = 8,
                         r_max: int = 8) -> Verdict:
@@ -398,31 +424,13 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
         raise ConfigError("n_max must be >= 8")
     tail = list(grid.tail)
     rho_values = rho.values_on(grid)
-    abs_rows = _abs_matrix(coeffs, grid, rho, n_max, tail)
-    slopes = _doubling_slopes([(row,) for row in abs_rows], tail, rho_values,
-                              grid.precision, n_max)
+    magnitudes = [(row,) for row in _abs_matrix(coeffs, grid, rho, n_max, tail)]
+    slopes = _doubling_slopes(magnitudes, tail, rho_values, grid.precision,
+                              n_max)
     trend_bad = _upward_trend(slopes)
-    found = None
-    bits = grid.precision
-    with working_precision(bits + GUARD_BITS):
-        for q in range(q_max + 1):
-            if found:
-                break
-            for r in range(r_max + 1):
-                ok = True
-                for j, i in enumerate(tail):
-                    step = rho_values[i] ** -q
-                    bound = rho_values[i] ** -r
-                    for n in range(n_max + 1):
-                        if not leq_with_slack(abs_rows[n][j], bound, bits):
-                            ok = False
-                            break
-                        bound = bound * step
-                    if not ok:
-                        break
-                if ok:
-                    found = (q, r)
-                    break
+    found = _first_bound(magnitudes, tail, rho_values, grid.precision,
+                         ((q, r, 1, 1) for q in range(q_max + 1)
+                          for r in range(r_max + 1)))
     slope_strs = [None if s is None else decimal_str(s, 64) for s in slopes]
     if trend_bad:
         return Verdict(FAIL,
@@ -574,7 +582,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
                 methods.append("all-zero")
                 continue
             curve = {n: absolutes[n] ** (mpf(1) / n) for n in nonzero}
-            estimate = _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits)
+            estimate = _ratio_estimate(n_lo, n_hi, absolutes, bits)
             if estimate is not None:
                 limsup_value, method = estimate
             else:
@@ -589,7 +597,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
         window=window, methods=tuple(methods))
 
 
-def _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits):
+def _ratio_estimate(n_lo, n_hi, absolutes, bits):
     span = n_hi - n_lo
     step = max(2, span // 10)
     for stride in (1, 2):
@@ -601,23 +609,12 @@ def _ratio_estimate(acc, i, n_lo, n_hi, absolutes, bits):
             nodes = [n - (n % 2) for n in nodes]
         if any(n < n_lo for n in nodes) or len(set(nodes)) < 6:
             continue
-        usable = True
-        ratios = []
-        for n in nodes:
-            lo = absolutes.get(n)
-            hi_n = n + stride
-            hi = absolutes.get(hi_n)
-            if hi is None:
-                hi = abs(as_mpf(acc(hi_n, i), bits))
-            if not lo or hi is None:
-                usable = False
-                break
-            w = hi / lo
-            if stride == 2:
-                w = mpmath.sqrt(w)
-            ratios.append(w)
-        if not usable:
+        # every node and node + stride lies inside the window
+        if not all(absolutes[n] for n in nodes):
             continue
+        ratios = [absolutes[n + stride] / absolutes[n] for n in nodes]
+        if stride == 2:
+            ratios = [mpmath.sqrt(w) for w in ratios]
         ts = [mpf(1) / n for n in nodes]
         lam_full = _neville_at_zero(ts, ratios, bits)
         lam_part = _neville_at_zero(ts[:-1], ratios[:-1], bits)
@@ -924,9 +921,8 @@ def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
         raise ConfigError("k_max must be >= 1")
     parts = {}
     for k in range(1, k_max + 1):
-        derived = make_series(derived_coefficients(series.coeffs, k),
-                              series.center, series.rho, series.sigma,
-                              series.grid)
+        derived = replace(series,
+                          coeffs=derived_coefficients(series.coeffs, k))
         report = _series_limit_report(derived, x, q_target, n_cap)
         bad = [i for i, (_, status, _) in enumerate(report) if status != "converged"]
         if bad:
@@ -1178,8 +1174,7 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
     bound_report = eventually_bounded(series, x_bar)
     if not bound_report.verdict.passed:
         raise ShortcutPreconditionError("not-eventually-bounded")
-    relation = series.sigma_le_rho
-    if not relation.passed:
+    if not gauge_le_star(series.sigma, series.rho, grid).passed:
         raise ShortcutPreconditionError("gauge-relation",
                                         "sigma is not below a power of rho")
     ys = _offsets(series, x)

@@ -254,6 +254,13 @@ class TestRecenter:
                     assert abs(as_mpf(v, grid.precision) - expected) \
                         <= mpf("1e-30")
 
+    def test_truncation_below_output_depth_rejected(self, grid, rho, sigma):
+        series = make_series(HpsCoefficients.from_column([1, 1, 0]),
+                             GenNum.constant(0, grid), rho, sigma, grid)
+        with pytest.raises(ConfigError):
+            recenter(series, GenNum.constant(Fraction(1, 4), grid), 4, 2,
+                     check=False)
+
     def test_uncontrolled_tail_rejected(self, grid, rho, sigma):
         series = corpus.build_series("geometric", grid, rho, sigma)
         with pytest.raises(InsufficientDepthError):

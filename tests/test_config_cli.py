@@ -9,7 +9,7 @@ import pytest
 from mpmath import mpf
 
 from hyperseries.config import load_config
-from hyperseries.nets import ConfigError
+from hyperseries.nets import ConfigError, gauge_le_star
 from hyperseries.report import (CheckResult, Report, canonical_bytes, digest,
                                 jsonable, overall_status)
 
@@ -44,7 +44,8 @@ class TestConfig:
         assert len(cfg.grid) == 5
         assert cfg.grid.tail_start == 2
         series = cfg.series("halves")
-        assert series.sigma_le_rho.witness["Q"] == 2
+        relation = gauge_le_star(series.sigma, series.rho, series.grid)
+        assert relation.witness["Q"] == 2
         point = cfg.point("third")
         assert point.values[0] == mpf(1) / 3 or abs(point.values[0] - mpf(1) / 3) < mpf("1e-30")
 
@@ -157,6 +158,7 @@ _EXIT_CASES = [
     (("limit", "--series", "geometric", "--x", "1/2"), 0),
     (("bounded", "--series", "geometric", "--x", "1/2"), 0),
     (("algebra", "derive", "--series", "exponential", "--n-max", "16"), 0),
+    (("graf", "--net", "exp", "--n-max", "72"), 0),
 ]
 
 
@@ -178,7 +180,8 @@ _ERROR_CASES = [
     ("algebra", "div", "--series", "geometric", "--series2", "zero-class",
      "--n-max", "8"),
     ("algebra", "recenter", "--series", "geometric", "--x", "1/4",
-     "--n-max", "8", "--m-max", "4"),
+     "--n-max", "4", "--m-max", "8"),
+    ("algebra", "reverse", "--series", "geometric", "--n-max", "0"),
 ]
 
 #: Public exceptions that no subcommand can raise, with the reason.

@@ -68,7 +68,7 @@ class TestDeltaFamily:
 
     def test_eval_at_zero(self, grid, rho, mollifier):
         zero = GenNum.constant(0, grid)
-        values = delta_eval(mollifier, zero, rho)
+        values = delta_eval(mollifier, zero)
         with working_precision(grid.precision):
             for i in range(len(grid)):
                 expected = (1 / grid.points[i]) * mollifier.moments[0] \
@@ -78,7 +78,7 @@ class TestDeltaFamily:
     def test_eval_out_of_range(self, grid, rho, mollifier):
         one = GenNum.constant(1, grid)
         with pytest.raises(OutOfCheckableRangeError):
-            delta_eval(mollifier, one, rho)
+            delta_eval(mollifier, one)
 
     def test_derivative_net_matches_family(self, grid, rho, mollifier):
         net = delta_derivative_net(mollifier, k_max=32)
@@ -140,7 +140,63 @@ class TestTaylorExtraction:
                         assert abs(a - b) <= abs(b) * mpf("1e-60")
 
 
+#: (net, status, witness (q, p, lambda, kappa), repr(inv_r_exponent)) of
+#: graf_check on the nets built by ``_growth_case``.
+GRAF_WITNESSES = [
+    ("exp(x)", "pass", ("0", "0", "1", "2"), "0.0"),
+    ("exp(2x)", "pass", ("0", "0", "1", "8"), "0.0"),
+    ("delta-b1", "pass", ("1", "1", "1", "1/4"), "1.0"),
+    ("delta-b2", "pass", ("2", "2", "1", "1/4"), "2.0"),
+    ("factorial(n)", "fail", None, "None"),
+    ("nowhere", "fail", None, "None"),
+]
+
+
+def _growth_case(name, grid, rho, sigma):
+    """(net, ball, samples, n_max) for one row of GRAF_WITNESSES."""
+    bits = grid.precision
+    zero = GenNum.constant(0, grid)
+    if name.startswith("exp"):
+        a = 1 if name == "exp(x)" else 2
+
+        def evaluate(k, x):  # the k-th derivative of exp(a x)
+            with working_precision(bits):
+                return GenNum(values=tuple(
+                    mpf(a) ** k * mpmath.exp(a * as_mpf(v, bits))
+                    for v in x.values), grid=grid)
+
+        net = DerivativeNet(evaluator=evaluate, k_max=48)
+        samples = [GenNum.constant(Fraction(k, 10), grid) for k in (-5, 0, 5)]
+        return net, GenNum.constant(1, grid), samples, 40
+    if name.startswith("delta"):
+        b = int(name[-1])
+        spec = make_mollifier(grid, rho, b_exponent=b, n_max=64)
+        samples = [zero, GenNum.from_expr("rho^%d/2" % b, grid, rho),
+                   GenNum.from_expr("-rho^%d/2" % b, grid, rho)]
+        return (delta_derivative_net(spec, k_max=24),
+                GenNum.from_expr("rho^%d" % b, grid, rho), samples, 16)
+    coeffs = HpsCoefficients.from_expr("factorial(n)") \
+        if name == "factorial(n)" else nowhere_analytic_coeffs()
+    series = make_series(coeffs, zero, rho, sigma, grid)
+    samples = [zero, GenNum.from_expr("rho^8", grid, rho)]
+    return (DerivativeNet.from_series(series, k_max=40),
+            GenNum.from_expr("rho^6", grid, rho), samples, 32)
+
+
 class TestGrowthCheck:
+    @pytest.mark.parametrize("name,status,witness,inv_r", GRAF_WITNESSES,
+                             ids=[row[0] for row in GRAF_WITNESSES])
+    def test_witness_table(self, name, status, witness, inv_r, grid, rho,
+                           sigma):
+        net, ball, samples, n_max = _growth_case(name, grid, rho, sigma)
+        found = graf_check(net, GenNum.constant(0, grid), ball, n_max,
+                           samples, rho, grid)
+        assert found.verdict.status == status
+        if witness is not None:
+            assert tuple(str(found.verdict.witness[key]) for key in
+                         ("q", "p", "lambda", "kappa")) == witness
+        assert repr(found.inv_r_exponent) == inv_r
+
     def test_series_backed_geometric_passes(self, grid, rho, sigma):
         series = corpus.build_series("geometric", grid, rho, sigma)
         net = DerivativeNet.from_series(series, k_max=40)

@@ -6,6 +6,7 @@ from mpmath import mpf
 
 from hyperseries import corpus
 from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum,
+                              InvalidGaugeError,
                               hypernat_constant, hypernat_from_expr,
                               is_moderate, ext_eq)
 from hyperseries.numerics import as_mpf, working_precision
@@ -31,7 +32,43 @@ def exponential(grid, rho, sigma):
     return corpus.build_series("exponential", grid, rho, sigma)
 
 
+#: (family, status, Q, R, doubling_slopes) of check_weak_moderate at the
+#: defaults (n_max 64, Q and R up to 8); "delta" is the corpus delta family.
+WEAK_WITNESSES = [
+    ("1", "pass", 0, 0, ["0.0", "0.0", "0.0", "0.0"]),
+    ("2^n", "pass", 1, 0, ["0.1505149978319905976068694"] * 4),
+    ("3^n*(n+1)", "pass", 1, 0,
+     ["0.3163757523981955818983906", "0.2941161829153867742030695",
+      "0.2754804069216931618770373", "0.2617648533756229629468156"]),
+    ("rho^(-n)", "pass", 1, 0, ["1.0", "1.0", "1.0", "1.0"]),
+    ("rho^((n+1)/eps)", "pass", 0, 0,
+     ["-112.5", "-106.25", "-103.125", "-101.5625"]),
+    ("factorial(n)", "fail", None, None,
+     ["0.2878450327148418047865441", "0.4162693623056038886786304",
+      "0.5534401835481234107182224", "0.6961204445104428045773747"]),
+    ("exp(-2*n)*(4*n^2)^n/factorial(n)", "fail", None, None,
+     ["0.4819804680378311484172826", "0.6545861341110502597389352",
+      "0.8184453085325119329130821", "0.9767950432341737342676687"]),
+    ("delta", "pass", 1, 1,
+     ["1.063061739236449794822162", "0.9846772832377721189959585",
+      "0.921555489218560300651419", "0.8708365956557458814412984"]),
+]
+
+
 class TestWeakModerate:
+    @pytest.mark.parametrize("family,status,q,r,slopes", WEAK_WITNESSES,
+                             ids=[row[0] for row in WEAK_WITNESSES])
+    def test_witness_table(self, family, status, q, r, slopes, grid, rho,
+                           env):
+        coeffs = env.series("delta").coeffs if family == "delta" \
+            else HpsCoefficients.from_expr(family)
+        verdict = check_weak_moderate(coeffs, rho, grid)
+        assert verdict.status == status
+        found = verdict.witness if verdict.passed else verdict.counterexample
+        assert found["doubling_slopes"] == slopes
+        if verdict.passed:
+            assert (verdict.witness["Q"], verdict.witness["R"]) == (q, r)
+
     def test_constant_family(self, grid, rho):
         verdict = check_weak_moderate(corpus.geometric_coeffs(), rho, grid)
         assert verdict.passed and (verdict.witness["Q"],
@@ -245,6 +282,19 @@ class TestConvergesAt:
         parts = [report.cond_radius, report.cond_formal, report.cond_limit,
                  report.cond_derivs]
         assert report.overall.passed == all(p.passed for p in parts)
+
+
+class TestMakeSeries:
+    def test_invalid_sigma_rejected(self, grid, rho):
+        with pytest.raises(InvalidGaugeError):
+            make_series(corpus.geometric_coeffs(), GenNum.constant(0, grid),
+                        rho, Gauge.from_text("1/eps", "sigma"), grid)
+
+    def test_immoderate_center_rejected(self, grid, rho, sigma):
+        with pytest.raises(ConfigError):
+            make_series(corpus.geometric_coeffs(),
+                        GenNum.from_expr("rho^(-(1/eps))", grid, rho), rho,
+                        sigma, grid)
 
 
 class TestEventuallyBounded:
