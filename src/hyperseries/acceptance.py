@@ -21,7 +21,8 @@ from mpmath import mpf
 from . import algebra, corpus, graf
 from .nets import (EpsGrid, Gauge, GenNum, ext_eq, hypernat_from_expr,
                    is_negligible)
-from .numerics import as_mpf, decimal_str, leq_with_slack, working_precision
+from .numerics import (GUARD_BITS, as_mpf, decimal_str, num_sub,
+                       tail_exceeds, working_precision)
 from .report import CheckResult, canonical_bytes, digest, jsonable
 from .series import (ConvergeOpts, HpsCoefficients, check_strong_eq,
                      classify_radius, converges_at, derived_coefficients,
@@ -72,17 +73,12 @@ def _result(name: str, ok: bool, details: dict,
     return CheckResult(name=name, status=status, details=details)
 
 
-def _tail_close(a: GenNum, b, grid: EpsGrid, rho: Gauge, exponent: int) -> bool:
-    """|a_i - b_i| <= rho_i^exponent at every tail point."""
+def _tail_close(a, b, grid: EpsGrid, rho: Gauge, exponent: int) -> bool:
+    """|a_i - b_i| <= rho_i^exponent at every tail point of two value rows."""
     bits = grid.precision
-    rho_values = rho.values_on(grid)
-    b_values = b.values if isinstance(b, GenNum) else [b] * len(grid)
-    with working_precision(bits):
-        for i in grid.tail:
-            gap = abs(as_mpf(a.values[i], bits) - as_mpf(b_values[i], bits))
-            if not leq_with_slack(gap, rho_values[i] ** exponent, bits):
-                return False
-    return True
+    gaps = [num_sub(u, v, bits + GUARD_BITS) for u, v in zip(a, b)]
+    return tail_exceeds(gaps, rho.values_on(grid), grid.tail, exponent,
+                        bits) is None
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +97,7 @@ def criterion_01_geometric_identity(env: SuiteEnv) -> CheckResult:
     identity = ext_eq(sums, closed, env.rho, env.grid, q_max=6)
     half = GenNum.constant(Fraction(1, 2), env.grid)
     limit = series_limit(geom, half, q_target=8)
-    at_half = _tail_close(limit, GenNum.constant(2, env.grid), env.grid,
+    at_half = _tail_close(limit.values, [2] * len(env.grid), env.grid,
                           env.rho, 4)
     return _result("geometric-identity",
                    identity.passed and at_half,
@@ -184,8 +180,6 @@ def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
     """Adding rho^((n+1)/eps) moves the root-curve limit by less than
     rho^q (q <= 4) at every tail point, family by family."""
     grid, rho = env.grid, env.rho
-    bits = grid.precision
-    rho_values = rho.values_on(grid)
     cases = {}
     ok = True
     perturb = "rho^((n+1)/eps)"
@@ -197,17 +191,11 @@ def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
         moved = radius(HpsCoefficients.from_expr("(%s) + %s" % (expr, perturb)),
                        rho, grid)
         worst_q = None
-        with working_precision(bits + 16):
-            fine = True
-            for q in range(1, 5):
-                for i in grid.tail:
-                    gap = abs(base.limsup.values[i] - moved.limsup.values[i])
-                    if not leq_with_slack(gap, rho_values[i] ** q, bits):
-                        fine = False
-                        break
-                if not fine:
-                    break
-                worst_q = q
+        for q in range(1, 5):
+            if not _tail_close(base.limsup.values, moved.limsup.values, grid,
+                               rho, q):
+                break
+            worst_q = q
         cases[name] = {"verified_q": worst_q}
         ok = ok and worst_q == 4
     spec_delta, delta_fam = env.delta_setup()
@@ -215,12 +203,7 @@ def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
     moved_fam = algebra.add(delta_fam, HpsCoefficients.from_expr(perturb),
                             grid, rho, n_max=delta_fam.n_max)
     moved = radius(moved_fam, rho, grid, window=(16, 94))
-    fine = True
-    with working_precision(bits + 16):
-        for i in grid.tail:
-            gap = abs(base.limsup.values[i] - moved.limsup.values[i])
-            if not leq_with_slack(gap, rho_values[i] ** 4, bits):
-                fine = False
+    fine = _tail_close(base.limsup.values, moved.limsup.values, grid, rho, 4)
     cases["delta"] = {"verified_q": 4 if fine else None}
     ok = ok and fine
     return _result("radius-stability", ok, cases)
@@ -275,7 +258,7 @@ def criterion_06_cauchy_product(env: SuiteEnv) -> CheckResult:
     product_series = make_series(squared, env.zero, rho, sigma, grid)
     half = GenNum.constant(Fraction(1, 2), grid)
     limit = series_limit(product_series, half, q_target=8)
-    at_half = _tail_close(limit, GenNum.constant(4, grid), grid, rho, 4)
+    at_half = _tail_close(limit.values, [4] * len(grid), grid, rho, 4)
     return _result("cauchy-product", exact and at_half,
                    {"coefficients_exact": exact,
                     "limit_head": limit.describe()[:2],
@@ -399,7 +382,7 @@ def criterion_09_delta(env: SuiteEnv) -> CheckResult:
     floor_ok = all(upper.values[i] >= 8 for i in grid.tail)
     partial = hyperfinite_sum(delta_series, drho, upper)
     direct = graf.delta_eval(spec, drho)
-    close = _tail_close(partial, direct, grid, rho, 4)
+    close = _tail_close(partial.values, direct.values, grid, rho, 4)
     ok = odd_zero and witness_ok and radius_ok and floor_ok and close
     return _result("dirac-delta", ok,
                    {"odd_zero": odd_zero, "witness": fam.weak_witness,

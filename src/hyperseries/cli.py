@@ -179,6 +179,8 @@ def _cmd_bounded(cfg, args, sink) -> List[CheckResult]:
 
 _ALGEBRA_OPS = ("add", "mul", "div", "compose", "derive", "integrate",
                 "recenter", "reverse")
+#: ``algebra recenter`` sums the old series to this multiple of ``--n-max``.
+RECENTER_DEPTH_FACTOR = 4
 
 
 def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
@@ -208,7 +210,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
         out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
-                               args.m_max)
+                               RECENTER_DEPTH_FACTOR * args.n_max)
     else:
         out = algebra.reverse(a, args.n_max, grid, rho, m_max=args.m_max)
     depth = min(out.bound_or(args.n_max), args.n_max)
@@ -362,7 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--series2")
     p.add_argument("--x", help="new center for recenter")
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--m-max", type=int, default=8)
+    p.add_argument("--m-max", type=int, default=8,
+                   help="invertibility margin rho^m of div and reverse")
 
     p = command("graf", _cmd_graf)
     p.add_argument("--net", choices=("exp", "delta"),

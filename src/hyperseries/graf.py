@@ -165,11 +165,6 @@ class MollifierSpec:
             sign = -1 if (n // 2) % 2 else 1
             return sign * self.moments[n] / (2 * mpmath.pi)
 
-    def mu_deriv_bound(self) -> mpf:
-        """Uniform bound on |mu^(k)(y)|: integral of the bump over 2 pi."""
-        with working_precision(self.grid.precision):
-            return self.moments[0] / (2 * mpmath.pi)
-
     def mu_series_at(self, k: int, y: mpf) -> mpf:
         """mu^(k)(y) through the moment series, with a factorial tail audit.
 
@@ -360,15 +355,9 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
 
     slopes = _doubling_slopes(magnitudes, tail, rho_values, bits, n_max,
                               factorial=True)
-    climbing = _upward_trend(slopes)
-
     with working_precision(bits + GUARD_BITS):
         factorials = [mpmath.factorial(n) for n in range(n_max + 1)]
-    found = _first_bound(magnitudes, tail, rho_values, bits,
-                         itertools.product(_HALF_LATTICE, _HALF_LATTICE,
-                                           _SCALE_LATTICE, _KAPPA_LATTICE),
-                         factorials)
-    if climbing:
+    if _upward_trend(slopes):
         worst = _worst_cell(magnitudes, factorials, tail, n_max)
         verdict = Verdict(FAIL, counterexample={
             "slopes": [decimal_str(v, 64) for v in slopes if v is not None],
@@ -377,6 +366,10 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
                   "bound: slope keeps climbing with n")
         return GrowthWitness(s=s, c_bound=None, r_bound=None, verdict=verdict,
                              inv_r_exponent=None)
+    found = _first_bound(magnitudes, tail, rho_values, bits,
+                         itertools.product(_HALF_LATTICE, _HALF_LATTICE,
+                                           _SCALE_LATTICE, _KAPPA_LATTICE),
+                         factorials)
     if found is None:
         worst = _worst_cell(magnitudes, factorials, tail, n_max)
         verdict = Verdict(FAIL, counterexample={"worst_cell": worst},

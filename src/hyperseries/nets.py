@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mpf
 
 from . import netexpr
-from .numerics import (Num, as_mpf, decimal_str, leq_with_slack, num_sub,
+from .numerics import (Num, as_mpf, decimal_str, num_sub, tail_exceeds,
                        working_precision)
 
 PASS = "pass"
@@ -36,6 +36,10 @@ INCONCLUSIVE = "inconclusive"
 TREND_SLACK = 1e-9
 #: A tail-to-tail drop of at least this much counts as genuinely sinking.
 TREND_DROP = 0.5
+#: Largest lattice exponent Q that :func:`gauge_le_star` tests.
+GAUGE_Q_MAX = 8
+#: Largest sigma exponent M that :func:`hypernat_from_expr` tests.
+HYPERNAT_M_MAX = 8
 
 
 class ConfigError(Exception):
@@ -335,29 +339,16 @@ def valuation(x: GenNum, rho: Gauge, grid: EpsGrid) -> Tuple[mpf, ...]:
         return tuple(+v for v in raw)
 
 
-def _tail_cells(grid: EpsGrid):
-    if not len(grid.tail):
-        raise ConfigError("grid tail is empty")
-    return grid.tail
-
-
 def is_moderate(x: GenNum, rho: Gauge, grid: EpsGrid, n_max: int = 8) -> Verdict:
     """Smallest N <= n_max with |x_eps| <= rho_eps^-N on the whole tail."""
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
-    tail = _tail_cells(grid)
+    tail = grid.tail
     rho_values = rho.values_on(grid)
-    with working_precision(grid.precision + 8):
-        for candidate in range(n_max + 1):
-            ok = True
-            for i in tail:
-                bound = rho_values[i] ** -candidate
-                if not leq_with_slack(abs(as_mpf(x.values[i], grid.precision)),
-                                      bound, grid.precision):
-                    ok = False
-                    break
-            if ok:
-                return Verdict(PASS, witness={"N": candidate})
+    for candidate in range(n_max + 1):
+        if tail_exceeds(x.values, rho_values, tail, -candidate,
+                        grid.precision) is None:
+            return Verdict(PASS, witness={"N": candidate})
     vals = valuation(x, rho, grid)
     tail_vals = [vals[i] for i in tail]
     worst = min(range(len(tail)), key=lambda j: tail_vals[j])
@@ -381,17 +372,14 @@ def is_negligible(x: GenNum, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdi
     """
     if q_max < 1:
         raise ConfigError("q_max must be >= 1")
-    tail = _tail_cells(grid)
+    tail = grid.tail
     rho_values = rho.values_on(grid)
     verified = 0
-    with working_precision(grid.precision + 8):
-        for q in range(1, q_max + 1):
-            if all(leq_with_slack(abs(as_mpf(x.values[i], grid.precision)),
-                                  rho_values[i] ** q, grid.precision)
-                   for i in tail):
-                verified = q
-            else:
-                break
+    for q in range(1, q_max + 1):
+        if tail_exceeds(x.values, rho_values, tail, q,
+                        grid.precision) is not None:
+            break
+        verified = q
     vals = valuation(x, rho, grid)
     tail_vals = [vals[i] for i in tail]
     rising = _nondecreasing(tail_vals)
@@ -418,12 +406,11 @@ def ext_eq(x, y, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdict:
     identical infinities on the tail otherwise."""
     ex = x if isinstance(x, ExtGenNum) else ExtGenNum.from_gennum(x)
     ey = y if isinstance(y, ExtGenNum) else ExtGenNum.from_gennum(y)
-    tail = _tail_cells(grid)
     finite_diff = []
     for i in range(len(grid)):
         a, b = ex.values[i], ey.values[i]
         if mpmath.isinf(a) or mpmath.isinf(b):
-            if i in tail and a != b:
+            if i in grid.tail and a != b:
                 return Verdict(FAIL,
                                counterexample={"grid_index": i,
                                                "left": decimal_str(a, 64),
@@ -442,25 +429,20 @@ def ext_eq(x, y, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdict:
     return Verdict(INCONCLUSIVE, notes=inner.notes)
 
 
-def gauge_le_star(sigma: Gauge, rho: Gauge, grid: EpsGrid,
-                  q_max: int = 8) -> Verdict:
-    """Largest lattice exponent Q (step 1/4) with sigma_eps <= rho_eps^Q on
-    the tail; any positive Q certifies the gauge relation."""
-    tail = _tail_cells(grid)
+def gauge_le_star(sigma: Gauge, rho: Gauge, grid: EpsGrid) -> Verdict:
+    """Largest lattice exponent Q (step 1/4, up to GAUGE_Q_MAX) with
+    sigma_eps <= rho_eps^Q on the tail; any positive Q certifies the gauge
+    relation."""
+    tail = grid.tail
     sigma_values = sigma.values_on(grid)
     rho_values = rho.values_on(grid)
     best = None
     step = Fraction(1, 4)
-    with working_precision(grid.precision + 8):
-        q = step
-        while q <= q_max:
-            exponent = as_mpf(q, grid.precision)
-            if all(leq_with_slack(sigma_values[i], rho_values[i] ** exponent,
-                                  grid.precision) for i in tail):
-                best = q
-                q += step
-            else:
-                break
+    q = step
+    while q <= GAUGE_Q_MAX and tail_exceeds(sigma_values, rho_values, tail, q,
+                                            grid.precision) is None:
+        best = q
+        q += step
     if best is None:
         worst = tail[0]
         return Verdict(FAIL,
@@ -469,13 +451,12 @@ def gauge_le_star(sigma: Gauge, rho: Gauge, grid: EpsGrid,
                                        "rho": decimal_str(rho_values[worst], 64)},
                        notes="sigma exceeds rho^(1/4) on the tail")
     notes = ""
-    if best == q_max:
+    if best == GAUGE_Q_MAX:
         notes = "Q saturated the lattice: sigma below every tested power of rho"
     return Verdict(PASS, witness={"Q": best}, notes=notes)
 
 
-def hypernat_from_expr(text_or_expr, sigma: Gauge, grid: EpsGrid,
-                       m_max: int = 8) -> HyperNat:
+def hypernat_from_expr(text_or_expr, sigma: Gauge, grid: EpsGrid) -> HyperNat:
     """Integer-part net floor(expr_eps) with a sigma-power growth witness.
 
     The witness search runs on the floating values, so rejection never has
@@ -495,29 +476,18 @@ def hypernat_from_expr(text_or_expr, sigma: Gauge, grid: EpsGrid,
                 raise ConfigError("hypernatural expression is negative at eps=%s"
                                   % decimal_str(point, 64))
             floors.append(mpmath.floor(raw))
-    tail = _tail_cells(grid)
-    witness = None
-    with working_precision(grid.precision + 8):
-        for m in range(m_max + 1):
-            if all(leq_with_slack(floors[i], sigma_values[i] ** -m,
-                                  grid.precision) for i in tail):
-                witness = m
-                break
+    witness = next((m for m in range(HYPERNAT_M_MAX + 1)
+                    if tail_exceeds(floors, sigma_values, grid.tail, -m,
+                                    grid.precision) is None), None)
     if witness is None:
         raise NotHypernaturalError(
-            "no witness M <= %d bounds the net by sigma^-M on the tail" % m_max)
+            "no witness M <= %d bounds the net by sigma^-M on the tail"
+            % HYPERNAT_M_MAX)
     if any(f > mpf(10) ** 600 for f in floors):
         raise ConfigError("truncation index too large to materialize exactly; "
                           "use the clipped sigma ladder instead")
     return HyperNat(values=tuple(int(f) for f in floors), grid=grid,
                     sigma_witness=witness)
-
-
-def hypernat_constant(n: int, grid: EpsGrid) -> HyperNat:
-    if n < 0:
-        raise ConfigError("hypernatural values must be non-negative")
-    return HyperNat(values=tuple(n for _ in grid.points), grid=grid,
-                    sigma_witness=0)
 
 
 #: Truncation indices above this are indistinguishable at desk scale: every

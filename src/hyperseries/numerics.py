@@ -15,7 +15,7 @@ mpmath context, which is restored on exit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
@@ -77,6 +77,12 @@ def num_div(a: Num, b: Num, bits: int) -> Num:
         return as_mpf(a, bits) / as_mpf(b, bits)
 
 
+def _slack_factor(bits: int) -> mpf:
+    """``1 + 2^(32-bits)``, the relative slack of every tail-bound
+    comparison; call inside ``working_precision(bits + GUARD_BITS)``."""
+    return 1 + mpf(2) ** (32 - bits)
+
+
 def leq_with_slack(a, b, bits: int) -> bool:
     """``a <= b`` for non-negative magnitudes, forgiving the last few ulps.
 
@@ -86,11 +92,31 @@ def leq_with_slack(a, b, bits: int) -> bool:
     far below every gauge-power margin the package ever tests.
     """
     with working_precision(bits + GUARD_BITS):
-        a = as_mpf(a, bits + GUARD_BITS)
-        b = as_mpf(b, bits + GUARD_BITS)
-        if b == 0:
-            return a == 0
-        return a <= b * (1 + mpf(2) ** (32 - bits))
+        return (as_mpf(a, bits + GUARD_BITS)
+                <= as_mpf(b, bits + GUARD_BITS) * _slack_factor(bits))
+
+
+def tail_exceeds(values, rho_values, cells, exponent,
+                 bits: int) -> Optional[int]:
+    """The first cell ``i`` of ``cells`` where ``|values[i]|`` exceeds
+    ``rho_values[i] ** exponent`` by more than the :func:`leq_with_slack`
+    slack, or None when the bound holds at every cell.
+
+    This is the one comparison behind every gauge-power upper bound of the
+    package: moderate, negligible, ``sigma <=* rho``, hypernatural bounds,
+    radius classes and closeness to a limit.  ``values`` and ``rho_values``
+    are indexed by cell; ``exponent`` is an int or a ``Fraction``.  Powers
+    and magnitudes are taken at ``bits + GUARD_BITS``.
+    """
+    prec = bits + GUARD_BITS
+    with working_precision(prec):
+        power = exponent if isinstance(exponent, int) else as_mpf(exponent, prec)
+        factor = _slack_factor(bits)
+        for i in cells:
+            bound = rho_values[i] ** power * factor
+            if not abs(as_mpf(values[i], prec)) <= bound:
+                return i
+    return None
 
 
 def decimal_digits(bits: int) -> int:

@@ -60,7 +60,7 @@ from .nets import (FAIL, INCONCLUSIVE, PASS, ConfigError, EpsGrid, ExtGenNum,
                    Gauge, GenNum, HyperNat, Verdict, combine_verdicts,
                    is_moderate, gauge_le_star, sigma_ladder, valuation)
 from .numerics import (GUARD_BITS, Num, as_mpf, decimal_str, is_exact,
-                       leq_with_slack, num_sub, working_precision)
+                       leq_with_slack, num_sub, tail_exceeds, working_precision)
 
 #: Default window over n for the root-curve statistics.
 RADIUS_WINDOW = (16, 256)
@@ -427,17 +427,16 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     magnitudes = [(row,) for row in _abs_matrix(coeffs, grid, rho, n_max, tail)]
     slopes = _doubling_slopes(magnitudes, tail, rho_values, grid.precision,
                               n_max)
-    trend_bad = _upward_trend(slopes)
-    found = _first_bound(magnitudes, tail, rho_values, grid.precision,
-                         ((q, r, 1, 1) for q in range(q_max + 1)
-                          for r in range(r_max + 1)))
     slope_strs = [None if s is None else decimal_str(s, 64) for s in slopes]
-    if trend_bad:
+    if _upward_trend(slopes):
         return Verdict(FAIL,
                        counterexample={"doubling_slopes": slope_strs,
                                        "n_max": n_max},
                        notes="required exponent slope keeps climbing with n; "
                              "no uniform (Q, R) can hold for all n")
+    found = _first_bound(magnitudes, tail, rho_values, grid.precision,
+                         ((q, r, 1, 1) for q in range(q_max + 1)
+                          for r in range(r_max + 1)))
     if found:
         return Verdict(PASS, witness={"Q": found[0], "R": found[1],
                                       "doubling_slopes": slope_strs})
@@ -656,26 +655,14 @@ def classify_radius(rad: RadiusEstimate, rho: Gauge, grid: EpsGrid,
     """Bucket each grid point: infinite radius, beyond every tested power
     of 1/rho, or moderate (below some tested power)."""
     rho_values = rho.values_on(grid)
-    bits = grid.precision
-    classes = []
-    subsets = {}
-    with working_precision(bits + GUARD_BITS):
-        for p in range(p_max + 1):
-            members = []
-            for i in range(len(grid)):
-                value = rad.r.values[i]
-                if not mpmath.isinf(value) and leq_with_slack(
-                        value, rho_values[i] ** -p, bits):
-                    members.append(i)
-            subsets[p] = tuple(members)
-        for i in range(len(grid)):
-            value = rad.r.values[i]
-            if mpmath.isinf(value):
-                classes.append("infinite")
-            elif leq_with_slack(value, rho_values[i] ** -p_max, bits):
-                classes.append("moderate")
-            else:
-                classes.append("beyond")
+    values = rad.r.values
+    subsets = {p: tuple(i for i in range(len(grid))
+                        if tail_exceeds(values, rho_values, (i,), -p,
+                                        grid.precision) is None)
+               for p in range(p_max + 1)}
+    classes = ["infinite" if mpmath.isinf(value)
+               else "moderate" if i in subsets[p_max] else "beyond"
+               for i, value in enumerate(values)]
     p_m = None
     tail = set(grid.tail)
     if any(c == "moderate" for c in classes):
@@ -1013,10 +1000,11 @@ def _limit_condition(series, x, opts, rho_values):
         # already dwarfs every tested moderateness bound decides a failure
         computed = [(i, value) for i, (value, status, _) in enumerate(report)
                     if value is not None]
-        with working_precision(bits + GUARD_BITS):
-            oversized = [i for i, (value, status, _) in enumerate(report)
-                         if status == "divergent-cap" and value is not None
-                         and abs(value) > rho_values[i] ** -MODERATE_N_MAX]
+        values = [value for value, _, _ in report]
+        oversized = [i for i, (value, status, _) in enumerate(report)
+                     if status == "divergent-cap" and value is not None
+                     and tail_exceeds(values, rho_values, (i,), -MODERATE_N_MAX,
+                                      bits) is not None]
         prefix_fail = False
         if len([i for i, _ in computed if i in grid.tail]) >= 2:
             prefix_grid = EpsGrid(
@@ -1046,26 +1034,29 @@ def _limit_condition(series, x, opts, rho_values):
     rungs = sigma_ladder(series.sigma, grid, js=range(1, LADDER_MAX + 1))
     clip = series.coeffs.n_max
     sum_at = _summation(series, x)
-    with working_precision(bits + GUARD_BITS):
-        for rung in rungs:
-            for i in grid.tail:
-                top = rung.values[i] if clip is None else min(rung.values[i], clip)
-                value, _, status, _ = sum_at(i, 0, top, opts.n_cap)
-                if status not in ("complete", "stopped"):
-                    return Verdict(
-                        FAIL,
-                        counterexample={"grid_index": i, "rung": rung.sigma_witness},
-                        notes="hyperfinite sum exceeds the budget while "
-                              "growing"), limit_net
-                gap = abs(value - as_mpf(limit_net.values[i], bits))
-                if not leq_with_slack(gap, rho_values[i] ** opts.q_close, bits):
-                    return Verdict(
-                        FAIL,
-                        counterexample={"grid_index": i,
-                                        "rung": rung.sigma_witness,
-                                        "gap": decimal_str(gap, 64)},
-                        notes="hyperfinite sums do not approach the "
-                              "epsilon-wise limit"), limit_net
+    for rung in rungs:
+        for i in grid.tail:
+            top = rung.values[i] if clip is None else min(rung.values[i], clip)
+            value, _, status, _ = sum_at(i, 0, top, opts.n_cap)
+            if status not in ("complete", "stopped"):
+                return Verdict(
+                    FAIL,
+                    counterexample={"grid_index": i, "rung": rung.sigma_witness},
+                    notes="hyperfinite sum exceeds the budget while "
+                          "growing"), limit_net
+            # cell by cell, so that a failure skips the dearer later sums
+            limit = limit_net.values[i]
+            gap = num_sub(max(value, limit), min(value, limit),
+                          bits + GUARD_BITS)  # |value - limit|
+            if tail_exceeds({i: gap}, rho_values, (i,), opts.q_close,
+                            bits) is not None:
+                return Verdict(
+                    FAIL,
+                    counterexample={"grid_index": i,
+                                    "rung": rung.sigma_witness,
+                                    "gap": decimal_str(gap, 64)},
+                    notes="hyperfinite sums do not approach the "
+                          "epsilon-wise limit"), limit_net
     return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],
                                   "q_close": opts.q_close}), limit_net
 

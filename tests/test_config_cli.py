@@ -159,6 +159,7 @@ _EXIT_CASES = [
     (("bounded", "--series", "geometric", "--x", "1/2"), 0),
     (("algebra", "derive", "--series", "exponential", "--n-max", "16"), 0),
     (("graf", "--net", "exp", "--n-max", "72"), 0),
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/4"), 0),
 ]
 
 
@@ -180,7 +181,7 @@ _ERROR_CASES = [
     ("algebra", "div", "--series", "geometric", "--series2", "zero-class",
      "--n-max", "8"),
     ("algebra", "recenter", "--series", "geometric", "--x", "1/4",
-     "--n-max", "4", "--m-max", "8"),
+     "--n-max", "4"),
     ("algebra", "reverse", "--series", "geometric", "--n-max", "0"),
 ]
 

@@ -174,7 +174,7 @@ class TestGaugeLeStar:
     def test_saturating_gauge(self, rho):
         small = EpsGrid.decades(1, 4)
         sigma = Gauge.from_text("exp(-exp(1/eps))", "sigma")
-        verdict = gauge_le_star(sigma, rho, small, q_max=8)
+        verdict = gauge_le_star(sigma, rho, small)
         assert verdict.passed and verdict.witness["Q"] == 8
         assert "saturated" in verdict.notes
 
@@ -203,7 +203,7 @@ class TestHypernat:
     def test_super_gauge_growth_rejected(self, sigma):
         small = EpsGrid.decades(1, 4)
         with pytest.raises(NotHypernaturalError):
-            hypernat_from_expr("exp(1/eps)", sigma, small, m_max=8)
+            hypernat_from_expr("exp(1/eps)", sigma, small)
 
     def test_ladder(self, grid, sigma):
         rungs = sigma_ladder(sigma, grid, js=(1, 2))

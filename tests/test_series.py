@@ -5,9 +5,8 @@ import pytest
 from mpmath import mpf
 
 from hyperseries import corpus
-from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum,
-                              InvalidGaugeError,
-                              hypernat_constant, hypernat_from_expr,
+from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
+                              InvalidGaugeError, hypernat_from_expr,
                               is_moderate, ext_eq)
 from hyperseries.numerics import as_mpf, working_precision
 from hyperseries.series import (DivergentSeriesError,
@@ -183,12 +182,12 @@ class TestHyperfiniteSum:
         assert ext_eq(sums, closed, rho, grid, q_max=6).passed
 
     def test_zero_upper_gives_head(self, grid, rho, sigma, exponential):
-        upper = hypernat_constant(0, grid)
+        upper = HyperNat(values=(0,) * len(grid), grid=grid)
         sums = hyperfinite_sum(exponential, GenNum.constant(1, grid), upper)
         assert all(v == 1 for v in sums.values)
 
     def test_exponential_partial_vs_e(self, grid, rho, sigma, exponential):
-        upper = hypernat_constant(30, grid)
+        upper = HyperNat(values=(30,) * len(grid), grid=grid)
         sums = hyperfinite_sum(exponential, GenNum.constant(1, grid), upper)
         with working_precision(grid.precision):
             err = abs(sums.values[0] - mpmath.e)
