@@ -32,7 +32,15 @@ class NotInvertibleError(Exception):
 
 
 class InsufficientDepthError(Exception):
-    """Recentering truncation tail exceeds the requested tolerance."""
+    """Recentering truncation tail exceeds the requested tolerance.
+
+    ``where`` names the failing test and entry; the message adds the remedy
+    in library terms, a larger truncation depth ``m_max``.
+    """
+
+    def __init__(self, where: str):
+        super().__init__("%s; raise m_max" % where)
+        self.where = where
 
 
 DEFAULT_DEPTH = 258
@@ -250,14 +258,14 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                     if tail_ratio >= mpf("0.95"):
                         raise InsufficientDepthError(
                             "truncation tail has no geometric bound at n=%d, "
-                            "grid index %d; raise m_max" % (n, i))
+                            "grid index %d" % (n, i))
                     estimate = (abs(as_mpf(last_term, bits)) * tail_ratio
                                 / (1 - tail_ratio))
                     budget = mpf(tail_tol) * (1 + abs(as_mpf(total, bits)))
                     if estimate > budget:
                         raise InsufficientDepthError(
                             "truncation tail %s exceeds tolerance at n=%d, "
-                            "grid index %d; raise m_max"
+                            "grid index %d"
                             % (decimal_str(estimate, 64), n, i))
                 column.append(total)
             columns.append(column)

@@ -209,8 +209,13 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
         if not args.x:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
-        out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
-                               RECENTER_DEPTH_FACTOR * args.n_max)
+        try:
+            out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
+                                   RECENTER_DEPTH_FACTOR * args.n_max)
+        except algebra.InsufficientDepthError as exc:
+            # no flag sets m_max here: the depth follows --n-max
+            raise ConfigError("%s; raise --n-max (recenter sums to %d * --n-max)"
+                              % (exc.where, RECENTER_DEPTH_FACTOR)) from exc
     else:
         out = algebra.reverse(a, args.n_max, grid, rho, m_max=args.m_max)
     depth = min(out.bound_or(args.n_max), args.n_max)

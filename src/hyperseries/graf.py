@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -127,14 +126,26 @@ def bump_value(t: mpf, bits: int) -> mpf:
         return g_up / (g_up + g_down)
 
 
-@lru_cache(maxsize=None)
-def _even_moment(n: int, bits: int) -> mpf:
-    """m_n = integral of bump(t) t^n over [-1, 1] for even n (exact zero odd)."""
-    with working_precision(bits + 48):
-        plateau = (mpf(1) / 2) ** (n + 1) / (n + 1)
-        ramp = mpmath.quad(lambda t: bump_value(t, bits + 48) * t ** n,
-                           [mpf(1) / 2, mpf(1)])
-        return +(2 * (plateau + ramp))
+#: The process-wide moment cache of ``_even_moment``, keyed by (n, bits).
+_EVEN_MOMENTS: dict = {}
+
+
+def _even_moment(n: int, bits: int, bump: Callable[[mpf], mpf]) -> mpf:
+    """m_n = integral of bump(t) t^n over [-1, 1] for even n (exact zero odd).
+
+    ``bump(t)`` is ``bump_value(t, bits + 48)`` read through the node memo
+    of the ``make_mollifier`` build that asks; that memo lives only as long
+    as the build.  The moment itself is computed once per process and
+    ``(n, bits)`` and kept in ``_EVEN_MOMENTS``, the one process-wide cache.
+    """
+    key = (n, bits)
+    if key not in _EVEN_MOMENTS:
+        with working_precision(bits + 48):
+            plateau = (mpf(1) / 2) ** (n + 1) / (n + 1)
+            ramp = mpmath.quad(lambda t: bump(t) * t ** n,
+                               [mpf(1) / 2, mpf(1)])
+            _EVEN_MOMENTS[key] = +(2 * (plateau + ramp))
+    return _EVEN_MOMENTS[key]
 
 
 @dataclass(frozen=True)
@@ -193,13 +204,27 @@ class MollifierSpec:
 
 def make_mollifier(grid: EpsGrid, rho: Gauge, b_exponent: int = 1,
                    n_max: int = 96) -> MollifierSpec:
-    """Standard bump mollifier scaled by b = (1/rho)^b_exponent."""
+    """Standard bump mollifier scaled by b = (1/rho)^b_exponent.
+
+    At a fixed precision ``mpmath.quad`` integrates every moment on the same
+    tanh-sinh nodes of [1/2, 1], so this build evaluates the bump once per
+    node: a memo keyed by the node's ``_mpf_``, dropped when the build
+    returns.  Moments already in ``_even_moment``'s cache evaluate nothing.
+    """
+    bits = grid.precision
+    nodes = {}
+
+    def bump(t: mpf) -> mpf:
+        if t._mpf_ not in nodes:
+            nodes[t._mpf_] = bump_value(t, bits + 48)
+        return nodes[t._mpf_]
+
     moments = []
     for n in range(n_max + 1):
         if n % 2 == 1:
             moments.append(mpf(0))
         else:
-            moments.append(_even_moment(n, grid.precision))
+            moments.append(_even_moment(n, bits, bump))
     b = GenNum.from_expr("rho^(-%d)" % b_exponent, grid, rho)
     _validate_moments(moments)
     return MollifierSpec(moments=tuple(moments), b=b, b_exponent=b_exponent,

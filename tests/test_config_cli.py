@@ -177,12 +177,14 @@ class TestExitCodeContract:
         assert mapping[body["overall"]] == code
 
 
+#: argv, and text the error line must contain ("" checks only its form).
 _ERROR_CASES = [
-    ("algebra", "div", "--series", "geometric", "--series2", "zero-class",
-     "--n-max", "8"),
-    ("algebra", "recenter", "--series", "geometric", "--x", "1/4",
-     "--n-max", "4"),
-    ("algebra", "reverse", "--series", "geometric", "--n-max", "0"),
+    (("algebra", "div", "--series", "geometric", "--series2", "zero-class",
+      "--n-max", "8"), ""),
+    # no flag sets recenter's m_max, so the advice names --n-max
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/4",
+      "--n-max", "4"), "; raise --n-max (recenter sums to 4 * --n-max)"),
+    (("algebra", "reverse", "--series", "geometric", "--n-max", "0"), ""),
 ]
 
 #: Public exceptions that no subcommand can raise, with the reason.
@@ -218,15 +220,16 @@ class TestErrorExits:
     """Errors end in a documented exit code and one error line, never a
     traceback."""
 
-    @pytest.mark.parametrize("argv", _ERROR_CASES,
-                             ids=[" ".join(c[:2]) for c in _ERROR_CASES])
-    def test_algebra_error_is_one_config_error_line(self, argv, capsys):
+    @pytest.mark.parametrize("argv,text", _ERROR_CASES,
+                             ids=[" ".join(c[0][:2]) for c in _ERROR_CASES])
+    def test_algebra_error_is_one_config_error_line(self, argv, text, capsys):
         from hyperseries.cli import main
         assert main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert text in lines[0]
 
     def test_every_public_exception_has_a_documented_exit(self, monkeypatch,
                                                           capsys):

@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf
 
-from hyperseries import corpus
+from hyperseries import corpus, graf
 from hyperseries.graf import (DerivativeNet, InvalidMollifierError,
                               MollifierSpec, OutOfCheckableRangeError,
                               bump_value, delta_coeffs, delta_derivative_net,
@@ -12,7 +13,7 @@ from hyperseries.graf import (DerivativeNet, InvalidMollifierError,
                               graf_check, make_mollifier,
                               nowhere_analytic_coeffs,
                               nowhere_analytic_reject, taylor_coeffs)
-from hyperseries.nets import ConfigError, GenNum, is_negligible
+from hyperseries.nets import ConfigError, EpsGrid, GenNum, is_negligible
 from hyperseries.numerics import as_mpf, working_precision
 from hyperseries.series import (HpsCoefficients, check_strong_eq,
                                 check_weak_moderate, coeff_accessor,
@@ -47,6 +48,38 @@ class TestBumpAndMoments:
             bound = mollifier.moments[0] / (2 * mpmath.pi)
             for n in range(0, 96, 2):
                 assert abs(mollifier.mu_deriv_at_zero(n)) <= bound * (1 + mpf(2) ** -200)
+
+    #: sha256 of repr([m._mpf_ for m in moments]) of the 96-moment table,
+    #: recorded with one bump evaluation per integrand call (no node memo).
+    MOMENT_DIGESTS = {
+        128: "df91374bfce2f42fef0c620033627ce71ecdd1aff30f4daaf3c46c9fef5fb95d",
+        256: "e9eb7aceed354c104125588bb45951770abab769f185ddb03b80acd54733ee4f",
+    }
+
+    @pytest.mark.parametrize("bits", sorted(MOMENT_DIGESTS))
+    def test_moment_table_pinned(self, bits, rho):
+        spec = make_mollifier(EpsGrid.decades(precision=bits), rho,
+                              b_exponent=1, n_max=96)
+        table = repr([m._mpf_ for m in spec.moments]).encode()
+        assert hashlib.sha256(table).hexdigest() == self.MOMENT_DIGESTS[bits]
+
+    def test_one_bump_call_per_node(self, grid, rho, monkeypatch):
+        nodes = []
+
+        def counting_bump(t, bits):
+            nodes.append(t._mpf_)
+            return bump_value(t, bits)
+
+        monkeypatch.setattr(graf, "bump_value", counting_bump)
+        monkeypatch.setattr(graf, "_EVEN_MOMENTS", {})
+        cold = make_mollifier(grid, rho, b_exponent=1, n_max=96)
+        # 1263 distinct tanh-sinh nodes on [1/2, 1] at 256 bits, which the
+        # 49 quadratures visit 60939 times between them
+        assert len(nodes) == len(set(nodes)) <= 1263
+        del nodes[:]
+        warm = make_mollifier(grid, rho, b_exponent=1, n_max=96)
+        assert nodes == []
+        assert warm.moments == cold.moments
 
     def test_bad_moments_rejected(self, grid, rho, mollifier):
         broken = list(mollifier.moments)
