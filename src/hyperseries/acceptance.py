@@ -19,8 +19,8 @@ import mpmath
 from mpmath import mpf
 
 from . import algebra, corpus, graf
-from .nets import (EpsGrid, Gauge, GenNum, ext_eq, hypernat_from_expr,
-                   is_negligible)
+from .nets import (ConfigError, EpsGrid, Gauge, GenNum, ext_eq,
+                   hypernat_from_expr, is_negligible)
 from .numerics import (GUARD_BITS, as_mpf, decimal_str, num_sub,
                        tail_exceeds, working_precision)
 from .report import CheckResult, canonical_bytes, digest, jsonable
@@ -580,10 +580,20 @@ CRITERIA: Dict[str, Callable[[SuiteEnv], CheckResult]] = {
 
 def run_suite(env: Optional[SuiteEnv] = None, seed: int = 0,
               echo: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
+    """Every criterion in order.  A criterion that raises a ``ConfigError``
+    (say, a table too short at this precision) is recorded as inconclusive
+    with the error in its details, and the suite goes on; any other
+    exception ends the suite."""
     env = env or SuiteEnv.standard(seed=seed)
     results = []
     for name, check in CRITERIA.items():
-        result = check(env)
+        try:
+            result = check(env)
+        except ConfigError as exc:
+            error = "%s: %s" % (type(exc).__name__, exc)
+            result = CheckResult(name=name.split("-", 1)[1],
+                                 status="inconclusive",
+                                 details={"error": error})
         results.append(result)
         if echo is not None:
             echo("%-4s %s" % (result.status.upper(), name))

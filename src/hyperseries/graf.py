@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -176,6 +177,17 @@ class MollifierSpec:
             sign = -1 if (n // 2) % 2 else 1
             return sign * self.moments[n] / (2 * mpmath.pi)
 
+    @cached_property
+    def _series_table(self):
+        """``mu^(n)(0)`` for n = 0..n_max and ``j!`` for j = 0..n_max+1,
+        both at the grid precision, computed once per spec."""
+        with working_precision(self.grid.precision):
+            derivs = tuple(self.mu_deriv_at_zero(n)
+                           for n in range(self.n_max + 1))
+            factorials = tuple(mpmath.factorial(j)
+                               for j in range(self.n_max + 2))
+        return derivs, factorials
+
     def mu_series_at(self, k: int, y: mpf) -> mpf:
         """mu^(k)(y) through the moment series, with a factorial tail audit.
 
@@ -183,11 +195,14 @@ class MollifierSpec:
         so a raw factorial tail below 1e-40 leaves all gauge-power
         comparisons in the package untouched.
         """
+        if k > self.n_max:
+            raise ConfigError("moments end at n=%d" % self.n_max)
+        derivs, factorials = self._series_table
         bits = self.grid.precision
         with working_precision(bits):
             y = as_mpf(y, bits)
             top = self.n_max - k
-            tail = abs(y) ** (top + 1) / mpmath.factorial(top + 1)
+            tail = abs(y) ** (top + 1) / factorials[top + 1]
             if not tail <= mpf("1e-40"):
                 raise OutOfCheckableRangeError(
                     "argument magnitude %s defeats the truncated moment series"
@@ -195,9 +210,9 @@ class MollifierSpec:
             total = mpf(0)
             power = mpf(1)
             for j in range(top + 1):
-                mu = self.mu_deriv_at_zero(k + j)
-                if mu != 0:
-                    total += mu * power / mpmath.factorial(j)
+                mu = derivs[k + j]
+                if mu:
+                    total += mu * power / factorials[j]
                 power *= y
             return total
 

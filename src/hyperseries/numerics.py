@@ -77,10 +77,19 @@ def num_div(a: Num, b: Num, bits: int) -> Num:
         return as_mpf(a, bits) / as_mpf(b, bits)
 
 
+#: ``_slack_factor`` values by precision.
+_SLACK_FACTORS: dict = {}
+
+
 def _slack_factor(bits: int) -> mpf:
     """``1 + 2^(32-bits)``, the relative slack of every tail-bound
-    comparison; call inside ``working_precision(bits + GUARD_BITS)``."""
-    return 1 + mpf(2) ** (32 - bits)
+    comparison, computed once per precision.  The value is exact at
+    ``bits + GUARD_BITS``, where every caller multiplies by it."""
+    factor = _SLACK_FACTORS.get(bits)
+    if factor is None:
+        with working_precision(bits + GUARD_BITS):
+            factor = _SLACK_FACTORS[bits] = 1 + mpf(2) ** (32 - bits)
+    return factor
 
 
 def leq_with_slack(a, b, bits: int) -> bool:

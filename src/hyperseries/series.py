@@ -48,6 +48,7 @@ the abort size) or ``table-exhausted`` (a table family ran out first).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
@@ -79,6 +80,10 @@ ABORT_EXPONENT = 256
 LADDER_MAX = 4
 #: Exponent bound of the moderateness tests on block, limit and derived nets.
 MODERATE_N_MAX = 8
+#: Float log excess above which ``_first_bound`` skips a lattice point
+#: without an exact comparison.
+SCREEN_MARGIN = 1e-6
+_LN2 = math.log(2)
 
 
 class SummationBudgetError(Exception):
@@ -382,6 +387,20 @@ def _upward_trend(slopes) -> bool:
     return d2 >= SLOPE_MARGIN and d1 >= SLOPE_MARGIN and d2 >= 0.75 * d1
 
 
+def _float_log(v, prec: int) -> float:
+    """Float64 ``log|v|``, read from the top 53 bits of the mpf's mantissa
+    and its exponent (no mpmath call for an mpf): -inf at 0, +inf at +-inf
+    and at nan, which fails every ``leq_with_slack`` bound as infinity
+    does."""
+    if not isinstance(v, mpf):
+        v = as_mpf(v, prec)
+    _, man, exp, bc = v._mpf_
+    if man:
+        shift = max(bc - 53, 0)
+        return math.log(man >> shift) + (exp + shift) * _LN2
+    return -math.inf if v == 0 else math.inf
+
+
 def _first_bound(magnitudes, tail, rho_values, bits, lattice, factorials=None):
     """The first lattice point (q, p, lam, kappa) whose geometric bound
     ``kappa rho^-p (n!) (lam rho^q)^-n`` holds at every cell.
@@ -389,6 +408,27 @@ def _first_bound(magnitudes, tail, rho_values, bits, lattice, factorials=None):
     ``magnitudes[n]`` holds one row of tail values per sample; the ``n!``
     weight applies only when ``factorials`` is given.  Returns None when no
     point holds.
+
+    The lattice is screened in float64 before anything exact is done.  Once
+    per call the screen stores, per tail cell and ``n``, the float log of the
+    largest sample magnitude less ``log n!``, and the float log of each
+    ``rho``.  A point is skipped when at some cell its log excess
+    ``log|a| - log bound`` is above ``SCREEN_MARGIN`` plus ``2^-40`` times
+    the sum of the absolute logs that make up that excess.  Every other point
+    is certified by the exact loop (the running product and the
+    ``leq_with_slack`` comparisons), and the first certified point is
+    returned.  So the witness is the one the exact loop alone would find:
+
+    * a point that holds exactly has ``|a| <= bound' (1 + 2^(32-bits))`` at
+      every cell, where ``bound'`` is the running product at ``bits +
+      GUARD_BITS`` from the coordinates rounded to ``bits``.  Precision is at
+      least 64 bits, so ``log bound'`` is within ``2^-32 + 2^-56 S`` of the
+      true ``log bound``, ``S`` being the sum of the absolute logs in the
+      excess, and the true excess of that point is below ``2^-31 + 2^-56 S``;
+    * the float excess is a sum of at most a dozen terms, each rounded or
+      read from 53 mantissa bits, so its error is below ``2^-46 + 2^-49 S``;
+    * ``SCREEN_MARGIN + 2^-40 S`` is above both together, so a point that
+      holds exactly is never skipped.
     """
     def holds(q, p, lam, kappa):
         for j, i in enumerate(tail):
@@ -402,8 +442,42 @@ def _first_bound(magnitudes, tail, rho_values, bits, lattice, factorials=None):
                 bound = bound * geometric
         return True
 
-    with working_precision(bits + GUARD_BITS):
+    prec = bits + GUARD_BITS
+    rho_logs = [_float_log(rho_values[i], prec) for i in tail]
+    fact_logs = [0.0] * len(magnitudes) if factorials is None \
+        else [_float_log(f, prec) for f in factorials[:len(magnitudes)]]
+    top_logs = [[max((_float_log(sample[j], prec) for sample in samples),
+                     default=-math.inf) - fact_log
+                 for samples, fact_log in zip(magnitudes, fact_logs)]
+                for j in range(len(tail))]
+    n_top = len(magnitudes) - 1
+    rho_scale = max(map(abs, rho_logs), default=0.0)
+    cell_scale = max((abs(a) + abs(f) for row in top_logs
+                      for a, f in zip(row, fact_logs) if math.isfinite(a)),
+                     default=0.0)
+    logs = {}  # float log of each lam and kappa, once per distinct value
+
+    def screened_out(q, p, lam, kappa):
+        """Some cell's float log excess is above the threshold."""
+        for v in (lam, kappa):
+            if v not in logs:
+                logs[v] = _float_log(v, bits)
+        q, p, log_lam, log_kappa = float(q), float(p), logs[lam], logs[kappa]
+        threshold = SCREEN_MARGIN + 2.0 ** -40 * (
+            abs(log_kappa) + abs(p) * rho_scale + cell_scale
+            + n_top * (abs(log_lam) + abs(q) * rho_scale))
+        for log_rho, row in zip(rho_logs, top_logs):
+            base = log_kappa - p * log_rho + threshold
+            step = -log_lam - q * log_rho
+            for n, a in enumerate(row):
+                if a - n * step > base:
+                    return True
+        return False
+
+    with working_precision(prec):
         for point in lattice:
+            if screened_out(*point):
+                continue
             if holds(*(as_mpf(v, bits) for v in point)):
                 return point
     return None

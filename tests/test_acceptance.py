@@ -4,10 +4,14 @@ prints one pass/fail line (visible with ``pytest -s`` or in the CLI
 the recorded digest, so a changed witness or counterexample fails here
 until this table is updated with a reason."""
 
+import json
+
 import pytest
 
-from hyperseries.acceptance import CRITERIA
-from hyperseries.report import digest, jsonable
+from hyperseries import acceptance, cli
+from hyperseries.acceptance import CRITERIA, run_suite
+from hyperseries.report import CheckResult, digest, jsonable
+from hyperseries.series import TableExhaustedError
 
 #: report.digest of {"status", "details"} per criterion, at 256 bits.
 DIGESTS = {
@@ -49,3 +53,43 @@ def test_criterion(name, env):
     assert result.passed, jsonable(result.details)
     body = {"status": result.status, "details": jsonable(result.details)}
     assert digest(body) == DIGESTS[name]
+
+
+def _short_table(env):
+    raise TableExhaustedError("table ends at n=96, need 97")
+
+
+def _passing(env):
+    return CheckResult(name="stand-in", status="pass")
+
+
+def test_suite_goes_on_after_a_config_error(env, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", {"01-short-table": _short_table,
+                                                 "02-stand-in": _passing})
+    echoed = []
+    results = run_suite(env, echo=echoed.append)
+    assert [(r.name, r.status) for r in results] == [
+        ("short-table", "inconclusive"), ("stand-in", "pass")]
+    assert results[0].details == {
+        "error": "TableExhaustedError: table ends at n=96, need 97"}
+    assert echoed == ["INCONCLUSIVE 01-short-table", "PASS 02-stand-in"]
+
+
+def test_suite_report_written_after_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", {"01-short-table": _short_table,
+                                                 "02-stand-in": _passing})
+    out = tmp_path / "suite.json"
+    assert cli.main(["suite", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["overall"] == "inconclusive"
+    assert [c["status"] for c in report["checks"]] == ["inconclusive", "pass"]
+
+
+def test_suite_other_errors_propagate(env, monkeypatch):
+    def broken(env):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {"01-broken": broken,
+                                                 "02-stand-in": _passing})
+    with pytest.raises(RuntimeError):
+        run_suite(env)

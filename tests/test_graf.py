@@ -113,6 +113,26 @@ class TestDeltaFamily:
         with pytest.raises(OutOfCheckableRangeError):
             delta_eval(mollifier, one)
 
+    #: sha256 of repr([mu_series_at(k, y)._mpf_ ...]) for k = 0..24 and y in
+    #: 0, 1/2, -1/2, then +-rho_i/2 per grid point, at 256 bits; recorded
+    #: when every call recomputed its derivative values and factorials.
+    MU_SERIES_DIGEST = \
+        "a94a728e48bfeaf43b4b657774dc29228844d49348328e9b750e8ff21d116f2f"
+
+    def test_mu_series_pinned(self, grid, rho, mollifier):
+        with working_precision(grid.precision):
+            ys = [mpf(0), mpf(1) / 2, -mpf(1) / 2]
+            for r in rho.values_on(grid):
+                ys += [r / 2, -r / 2]
+        table = [mollifier.mu_series_at(k, y)._mpf_
+                 for k in range(25) for y in ys]
+        assert hashlib.sha256(repr(table).encode()).hexdigest() \
+            == self.MU_SERIES_DIGEST
+
+    def test_mu_series_past_the_moments(self, mollifier):
+        with pytest.raises(ConfigError):
+            mollifier.mu_series_at(mollifier.n_max + 1, mpf(0))
+
     def test_derivative_net_matches_family(self, grid, rho, mollifier):
         net = delta_derivative_net(mollifier, k_max=32)
         fam = delta_coeffs(mollifier, 96, rho)

@@ -1,18 +1,23 @@
+import itertools
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mpf
 
-from hyperseries import corpus
+from hyperseries import corpus, graf, series
+from hyperseries.graf import (DerivativeNet, delta_derivative_net, graf_check,
+                              make_mollifier)
 from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
                               InvalidGaugeError, hypernat_from_expr,
                               is_moderate, ext_eq)
-from hyperseries.numerics import as_mpf, working_precision
+from hyperseries.numerics import (GUARD_BITS, as_mpf, leq_with_slack,
+                                  working_precision)
 from hyperseries.series import (DivergentSeriesError,
                                 HpsCoefficients, MissingWitnessError,
                                 ShortcutPreconditionError, TableExhaustedError,
-                                ball_guarantee, check_strong_eq,
+                                _first_bound, ball_guarantee, check_strong_eq,
                                 check_weak_moderate, classify_radius,
                                 coeff_accessor, coeff_rows, converge_shortcut,
                                 converges_at, derivative_net_moderate,
@@ -472,3 +477,200 @@ class TestCoefficientMemo:
         reused = radius(family, squared, grid)
         fresh = radius(HpsCoefficients.from_expr("rho^n"), squared, grid)
         assert reused.r.values == fresh.r.values
+
+
+# ---------------------------------------------------------------------------
+# The float screen of the witness-lattice search
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_first_bound(magnitudes, tail, rho_values, bits, lattice,
+                            factorials=None):
+    """The first lattice point whose bound holds at every cell, each point
+    tested exactly (the running product and the ``leq_with_slack`` rule at
+    ``bits + GUARD_BITS``) and none screened."""
+    with working_precision(bits + GUARD_BITS):
+        factor = 1 + mpf(2) ** (32 - bits)
+        for point in lattice:
+            q, p, lam, kappa = (as_mpf(v, bits) for v in point)
+
+            def cells():
+                for j, i in enumerate(tail):
+                    geometric = lam ** -1 * rho_values[i] ** -q
+                    bound = kappa * rho_values[i] ** -p
+                    for n, samples in enumerate(magnitudes):
+                        limit = bound if factorials is None \
+                            else bound * factorials[n]
+                        for sample in samples:
+                            yield +sample[j] <= limit * factor
+                        bound = bound * geometric
+
+            if all(cells()):
+                return point
+    return None
+
+
+def _recorded_searches(monkeypatch, module, run):
+    """Run ``run()`` and return (result, arguments) of every
+    ``_first_bound`` call that ``module`` makes."""
+    calls = []
+
+    def record(magnitudes, tail, rho_values, bits, lattice, factorials=None):
+        args = (magnitudes, tail, rho_values, bits, list(lattice), factorials)
+        calls.append((_first_bound(*args), args))
+        return calls[-1][0]
+
+    monkeypatch.setattr(module, "_first_bound", record)
+    run()
+    assert calls
+    return calls
+
+
+def _graf_net(name, grid, rho, sigma):
+    """(net, ball, samples, n_max) of a net that passes ``graf_check``."""
+    bits = grid.precision
+    zero = GenNum.constant(0, grid)
+    if name.startswith("exp"):
+        a = int(name[-1])
+
+        def evaluate(k, x):  # the k-th derivative of exp(a x)
+            with working_precision(bits):
+                return GenNum(values=tuple(
+                    mpf(a) ** k * mpmath.exp(a * as_mpf(v, bits))
+                    for v in x.values), grid=grid)
+
+        samples = [GenNum.constant(Fraction(k, 10), grid) for k in (-5, 0, 5)]
+        return (DerivativeNet(evaluator=evaluate, k_max=40),
+                GenNum.constant(1, grid), samples, 40)
+    if name.startswith("delta"):
+        b = int(name[-1])
+        spec = make_mollifier(grid, rho, b_exponent=b, n_max=48)
+        samples = [zero, GenNum.from_expr("rho^%d/2" % b, grid, rho),
+                   GenNum.from_expr("-rho^%d/2" % b, grid, rho)]
+        return (delta_derivative_net(spec, k_max=16),
+                GenNum.from_expr("rho^%d" % b, grid, rho), samples, 16)
+    geometric = corpus.build_series("geometric", grid, rho, sigma)
+    return (DerivativeNet.from_series(geometric, k_max=12),
+            GenNum.constant(Fraction(1, 2), grid),
+            [zero, GenNum.constant(Fraction(1, 4), grid)], 12)
+
+
+#: The lattice the random cases draw their points from, in the order of
+#: ``(q, p, lam, kappa)``.
+_SCREEN_LATTICE = list(itertools.product(
+    (0, Fraction(1, 2), 1, 2), (0, 1, 2), (Fraction(1, 2), 1, 2),
+    (Fraction(1, 4), 1, 4)))
+#: Multiples of the slack ``2^(32-bits)`` a magnitude may sit at, above the
+#: bound of the anchor point.
+_TIES = (-1, 0, Fraction(1, 2), 1, 2)
+
+
+@st.composite
+def _screen_cases(draw):
+    """(magnitudes, tail, rho_values, bits, lattice, factorials) with
+    magnitudes log-uniform around the bound of one lattice point, the
+    anchor, and some of them at or next to it."""
+    bits = draw(st.sampled_from((64, 128, 256)))
+    slots = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 6))
+    samples = draw(st.integers(1, 2))
+    lattice = draw(st.lists(st.sampled_from(_SCREEN_LATTICE), min_size=1,
+                            max_size=40, unique=True))
+    q, p, lam, kappa = draw(st.sampled_from(lattice))
+    prec = bits + GUARD_BITS
+    with working_precision(prec + 64):
+        rho_values = tuple(mpf(2) ** -draw(st.integers(1, 6))
+                           for _ in range(slots))
+        factorials = [mpmath.factorial(n) for n in range(rows)] \
+            if draw(st.booleans()) else None
+        slack = mpf(2) ** (32 - bits)
+        magnitudes = []
+        for n in range(rows):
+            row = []
+            for _ in range(samples):
+                cells = []
+                for r in rho_values:
+                    anchor = as_mpf(kappa, prec) * r ** -as_mpf(p, prec) \
+                        * (as_mpf(lam, prec) * r ** as_mpf(q, prec)) ** -n
+                    if factorials is not None:
+                        anchor *= factorials[n]
+                    kind = draw(st.sampled_from(("zero", "tie", "spread")))
+                    if kind == "zero":
+                        cells.append(mpf(0))
+                    elif kind == "tie":
+                        t = as_mpf(draw(st.sampled_from(_TIES)), prec)
+                        cells.append(anchor * (1 + t * slack))
+                    else:
+                        u = mpf(draw(st.floats(-12, 2)))
+                        cells.append(anchor * mpf(2) ** u)
+                row.append(cells)
+            magnitudes.append(row)
+    return magnitudes, range(slots), rho_values, bits, lattice, factorials
+
+
+class TestLatticeScreen:
+    """``_first_bound`` screens the lattice in float64 and certifies the
+    points it cannot rule out exactly; its answer must be the exhaustive
+    exact search's."""
+
+    @pytest.mark.parametrize("bits", (128, 256, 512))
+    @pytest.mark.parametrize("name", ("exp1", "exp2", "delta1", "delta2",
+                                      "geometric"))
+    def test_graf_lattice_matches_exhaustive(self, name, bits, rho, sigma,
+                                             monkeypatch):
+        grid = EpsGrid.decades(precision=bits)
+        net, ball, samples, n_max = _graf_net(name, grid, rho, sigma)
+        calls = _recorded_searches(monkeypatch, graf, lambda: graf_check(
+            net, GenNum.constant(0, grid), ball, n_max, samples, rho, grid))
+        for found, args in calls:
+            assert found is not None
+            assert found == _exhaustive_first_bound(*args)
+
+    @pytest.mark.parametrize("bits", (128, 256, 512))
+    @pytest.mark.parametrize("family", ("1", "2^n", "3^n*(n+1)", "rho^(-n)"))
+    def test_weak_lattice_matches_exhaustive(self, family, bits, rho,
+                                             monkeypatch):
+        grid = EpsGrid.decades(precision=bits)
+        coeffs = HpsCoefficients.from_expr(family)
+        calls = _recorded_searches(monkeypatch, series, lambda:
+                                   check_weak_moderate(coeffs, rho, grid))
+        for found, args in calls:
+            assert found is not None
+            assert found == _exhaustive_first_bound(*args)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_near_tie_is_certified_not_screened(self, bits, monkeypatch):
+        # rho = 1/2 makes every bound 2^-(...) exact; |a_n| = 2^n / 2 rules
+        # out the points before (1, 0), whose bound 2^n the cell n = 5 meets
+        # up to a factor 1 + t
+        lattice = [(q, r, 1, 1) for q in range(3) for r in range(3)]
+        with working_precision(bits + GUARD_BITS + 64):
+            slack = mpf(2) ** (32 - bits)
+
+            def magnitudes(t):
+                return [((mpf(2) ** n * (1 + t) if n == 5
+                           else mpf(2) ** n / 2,),) for n in range(9)]
+
+            inside, outside = magnitudes(slack / 2), magnitudes(4 * slack)
+        compared = []
+
+        def counting(a, b, bits):
+            compared.append(a)
+            return leq_with_slack(a, b, bits)
+
+        monkeypatch.setattr(series, "leq_with_slack", counting)
+        rho_values = (mpf(1) / 2,)
+        assert _first_bound(inside, [0], rho_values, bits, lattice) \
+            == (1, 0, 1, 1)
+        # only (1, 0) reaches the exact comparisons, and it holds at all 9
+        assert len(compared) == 9
+        assert _first_bound(outside, [0], rho_values, bits, lattice) \
+            == (1, 1, 1, 1)
+        for case in (inside, outside):
+            assert _first_bound(case, [0], rho_values, bits, lattice) \
+                == _exhaustive_first_bound(case, [0], rho_values, bits,
+                                           lattice)
+
+    @given(_screen_cases())
+    def test_random_magnitudes_match_exhaustive(self, case):
+        assert _first_bound(*case) == _exhaustive_first_bound(*case)
