@@ -2,9 +2,9 @@
 
 Sum, Cauchy product, division, composition, derivation, term-wise
 integration and compositional reversion all stay inside the admissible
-families, and each result re-derives its own admissibility witness.
-Exact rational inputs stay exact, so round-trip identities hold on the
-nose rather than to a tolerance.
+families; a result's admissibility witness is searched on the grid when
+it is read.  Exact rational inputs stay exact, so round-trip identities
+hold on the nose rather than to a tolerance.
 """
 
 from fractions import Fraction
@@ -12,9 +12,10 @@ from fractions import Fraction
 import mpmath
 
 from hyperseries import EpsGrid, GenNum, HpsCoefficients, corpus
-from hyperseries import (cauchy_product, compose, derive, integrate,
-                         identity_coefficients, make_series, reciprocal_div,
-                         reverse, series_limit, check_strong_eq)
+from hyperseries import (cauchy_product, compose, derived_coefficients,
+                         integrate, identity_coefficients, make_series,
+                         reciprocal_div, reverse, series_limit,
+                         check_strong_eq)
 
 print(__doc__)
 
@@ -63,6 +64,6 @@ with mpmath.workprec(256):
              mpmath.nstr(mpmath.log(2), 15)))
 
 # derivation: the exponential family is its own derived family
-derived = derive(corpus.exponential_coeffs(), grid, rho)
+derived = derived_coefficients(corpus.exponential_coeffs(), 1)
 head = derived.materialize(6, grid, rho).column_values(6)
 print("derive(1/n!)     :", head, "(again 1/n!)")

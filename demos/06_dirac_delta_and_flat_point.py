@@ -14,7 +14,7 @@ from hyperseries import (classify_radius, delta_derivative_net, delta_eval,
                          ext_eq, flat_point_check, graf_check,
                          hyperfinite_sum, hypernat_from_expr, is_negligible,
                          make_mollifier, make_series,
-                         nowhere_analytic_reject, radius)
+                         nowhere_analytic_reject, radius, weak_witness)
 from hyperseries.graf import delta_coeffs, flat_point_values
 
 print(__doc__)
@@ -24,8 +24,8 @@ rho, sigma = corpus.standard_gauges()
 
 # ----------------------------------------------------------------- delta
 spec = make_mollifier(grid, rho, b_exponent=1, n_max=96)
-family = delta_coeffs(spec, 96, rho)
-print("delta family     : witness (Q, R) =", family.weak_witness,
+family = delta_coeffs(spec, 96)
+print("delta family     : witness (Q, R) =", weak_witness(family, rho, grid),
       "| odd entries all zero:",
       all(family.rows[n] == 0 for n in range(1, 97, 2)))
 

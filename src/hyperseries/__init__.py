@@ -28,9 +28,9 @@ from .series import (ConvergeOpts, ConvergenceReport, DivergentSeriesError,
                      converges_at, derivative_net_moderate,
                      derived_coefficients, eventually_bounded,
                      hyperfinite_sum, is_formal_hps, make_series, radius,
-                     series_limit)
+                     series_limit, weak_witness)
 from .algebra import (InsufficientDepthError, NotInvertibleError, add,
-                      cauchy_product, coeff_ring_ops, compose, derive,
+                      cauchy_product, coeff_ring_ops, compose,
                       identity_coefficients, integrate, reciprocal_div,
                       recenter, reverse, scalar_mul)
 from .graf import (DerivativeNet, GrowthWitness, InvalidMollifierError,

@@ -26,7 +26,8 @@ from .numerics import (GUARD_BITS, as_mpf, decimal_str, num_sub,
 from .report import CheckResult, canonical_bytes, digest, jsonable
 from .series import (ConvergeOpts, HpsCoefficients, check_strong_eq,
                      classify_radius, converges_at, derived_coefficients,
-                     hyperfinite_sum, make_series, radius, series_limit)
+                     hyperfinite_sum, make_series, radius, series_limit,
+                     weak_witness)
 
 
 @dataclass
@@ -372,7 +373,8 @@ def criterion_09_delta(env: SuiteEnv) -> CheckResult:
     grid, rho, sigma = env.grid, env.rho, env.sigma
     spec, fam = env.delta_setup()
     odd_zero = all(fam.rows[n] == 0 for n in range(1, fam.n_max + 1, 2))
-    witness_ok = fam.weak_witness == (1, 1)
+    witness = weak_witness(fam, rho, grid)
+    witness_ok = witness == (1, 1)
     classification = classify_radius(radius(fam, rho, grid, window=(16, 94)),
                                      rho, grid)
     radius_ok = classification.all_beyond_tested_powers
@@ -385,7 +387,7 @@ def criterion_09_delta(env: SuiteEnv) -> CheckResult:
     close = _tail_close(partial.values, direct.values, grid, rho, 4)
     ok = odd_zero and witness_ok and radius_ok and floor_ok and close
     return _result("dirac-delta", ok,
-                   {"odd_zero": odd_zero, "witness": fam.weak_witness,
+                   {"odd_zero": odd_zero, "witness": witness,
                     "classes": list(classification.classes),
                     "upper_at_least_8": floor_ok, "partial_matches": close})
 
@@ -495,7 +497,7 @@ def criterion_12_convergence_ball(env: SuiteEnv) -> CheckResult:
     for name in ("geometric", "doubling", "exponential", "zero-class",
                  "delta"):
         series = env.series(name)
-        witness = series.coeffs.weak_witness
+        witness = weak_witness(series.coeffs, series.rho, grid)
         exponent = max(1 + (witness[0] if witness else 0), 1)
         x = GenNum.from_expr("rho^%d" % exponent, grid, rho) + series.center
         report = converges_at(series, x)

@@ -1,10 +1,10 @@
 """Closure operations on coefficient families.
 
 Scalar multiple, sum, Cauchy product, reciprocal/division, composition,
-derivation, term-wise integration, recentering and compositional reversion.
-Each operation returns a fresh family and re-derives its admissibility
-witness on the grid instead of propagating witness bounds symbolically; the
-grid search is tighter and uniform across operations.
+term-wise integration, recentering and compositional reversion (derivation
+is ``series.derived_coefficients``).  Each operation returns a fresh family
+and nothing else: a result's weak witness depends on the gauge and the
+grid, so ``series.weak_witness`` searches it where it is read.
 
 Arithmetic stays exact (``Fraction``) whenever the operands are exact and
 independent of the grid point, which is what lets round-trip identities
@@ -22,9 +22,8 @@ from mpmath import mpf
 from .nets import ConfigError, EpsGrid, Gauge, GenNum, is_moderate
 from .numerics import (as_mpf, decimal_str, is_exact, num_add, num_div,
                        num_mul, num_sub, working_precision)
-from .series import (ConvergeOpts, HpsCoefficients, HpsSeries,
-                     check_weak_moderate, coeff_rows, converges_at,
-                     derived_coefficients, point_values)
+from .series import (ConvergeOpts, HpsCoefficients, HpsSeries, coeff_rows,
+                     converges_at, point_values)
 
 
 class NotInvertibleError(Exception):
@@ -44,17 +43,8 @@ class InsufficientDepthError(Exception):
 
 
 DEFAULT_DEPTH = 258
-
-
-def _attach_witness(result: HpsCoefficients, grid: EpsGrid,
-                    rho: Gauge) -> HpsCoefficients:
-    check_n = min(64, result.bound_or(64))
-    if check_n < 8:
-        return result
-    verdict = check_weak_moderate(result, rho, grid, n_max=check_n)
-    if verdict.passed:
-        return result.with_witness(verdict.witness["Q"], verdict.witness["R"])
-    return result
+#: Largest estimated recentering tail, relative to the computed entry.
+RECENTER_TAIL_TOL = "1e-30"
 
 
 def _map_columns(op, grid, rho, n_max, label, *families):
@@ -79,8 +69,7 @@ def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     rows = [tuple(num_mul(factor, value, bits) for factor, value
                   in zip(r.values, point_values(row, len(grid))))
             for row in coeff_rows(a, grid, rho, n_max)]
-    out = HpsCoefficients.from_column(rows, label="scalar*" + a.label)
-    return _attach_witness(out, grid, rho)
+    return HpsCoefficients.from_column(rows, label="scalar*" + a.label)
 
 
 def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -92,9 +81,8 @@ def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     def pointwise(u, v):
         return [num_add(u[n], v[n], bits) for n in range(n_max + 1)]
 
-    out = _map_columns(pointwise, grid, rho, n_max,
-                       "(%s)+(%s)" % (a.label, b.label), a, b)
-    return _attach_witness(out, grid, rho)
+    return _map_columns(pointwise, grid, rho, n_max,
+                        "(%s)+(%s)" % (a.label, b.label), a, b)
 
 
 def _convolve(u, v, n_max, bits):
@@ -116,9 +104,8 @@ def cauchy_product(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     def conv(u, v):
         return _convolve(u, v, n_max, bits)
 
-    out = _map_columns(conv, grid, rho, n_max,
-                       "(%s)*(%s)" % (a.label, b.label), a, b)
-    return _attach_witness(out, grid, rho)
+    return _map_columns(conv, grid, rho, n_max,
+                        "(%s)*(%s)" % (a.label, b.label), a, b)
 
 
 def _invertibility_margin(values, rho_values, tail, bits, m_max):
@@ -153,9 +140,8 @@ def reciprocal_div(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
             out.append(num_div(numerator, v[0], bits))
         return out
 
-    out = _map_columns(divide, grid, rho, n_max,
-                       "(%s)/(%s)" % (a.label, b.label), a, b)
-    return _attach_witness(out, grid, rho)
+    return _map_columns(divide, grid, rho, n_max,
+                        "(%s)/(%s)" % (a.label, b.label), a, b)
 
 
 def _compose_column(outer, inner, n_max, bits):
@@ -186,14 +172,8 @@ def compose(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     def comp(u, v):
         return _compose_column(u, v, n_max, bits)
 
-    out = _map_columns(comp, grid, rho, n_max,
-                       "(%s)o(%s)" % (a.label, b.label), a, b)
-    return _attach_witness(out, grid, rho)
-
-
-def derive(a: HpsCoefficients, grid: EpsGrid, rho: Gauge) -> HpsCoefficients:
-    """Derived family (n+1) a_(n+1) with a freshly derived witness."""
-    return _attach_witness(derived_coefficients(a, 1), grid, rho)
+    return _map_columns(comp, grid, rho, n_max,
+                        "(%s)o(%s)" % (a.label, b.label), a, b)
 
 
 def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -209,18 +189,17 @@ def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
         return [Fraction(0)] + [num_div(u[n], n + 1, bits)
                                 for n in range(len(u))]
 
-    out = _map_columns(anti, grid, rho, n_max - 1, "int(%s)" % a.label, a)
-    return _attach_witness(out, grid, rho)
+    return _map_columns(anti, grid, rho, n_max - 1, "int(%s)" % a.label, a)
 
 
 def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
-             m_max: int, check: bool = True, tail_tol: str = "1e-30",
+             m_max: int, check: bool = True,
              opts: ConvergeOpts = ConvergeOpts()) -> HpsCoefficients:
     """Re-expand at a new center inside the set of convergence.
 
     new_a(n) = sum_(m=n..m_max) a_m C(m, n) (new_c - c)^(m-n), truncated at
     m_max; raises when the geometric estimate of the dropped tail is not
-    below ``tail_tol`` relative to the computed entry.
+    below ``RECENTER_TAIL_TOL`` relative to the computed entry.
     """
     if m_max < n_max:
         raise ConfigError("recenter needs m_max >= n_max (got %d < %d)"
@@ -261,7 +240,8 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                             "grid index %d" % (n, i))
                     estimate = (abs(as_mpf(last_term, bits)) * tail_ratio
                                 / (1 - tail_ratio))
-                    budget = mpf(tail_tol) * (1 + abs(as_mpf(total, bits)))
+                    budget = mpf(RECENTER_TAIL_TOL) * (
+                        1 + abs(as_mpf(total, bits)))
                     if estimate > budget:
                         raise InsufficientDepthError(
                             "truncation tail %s exceeds tolerance at n=%d, "
@@ -269,9 +249,8 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                             % (decimal_str(estimate, 64), n, i))
                 column.append(total)
             columns.append(column)
-    out = HpsCoefficients.from_column(zip(*columns),
-                                      label="recenter(%s)" % series.coeffs.label)
-    return _attach_witness(out, grid, series.rho)
+    return HpsCoefficients.from_column(
+        zip(*columns), label="recenter(%s)" % series.coeffs.label)
 
 
 def _tail_ratio(a, m_max, n, d, bits):
@@ -310,8 +289,7 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
             g[n] = num_div(num_sub(0, h[n], bits), tilde[1], bits)
         return g
 
-    out = _map_columns(invert, grid, rho, n_max, "reverse(%s)" % a.label, a)
-    return _attach_witness(out, grid, rho)
+    return _map_columns(invert, grid, rho, n_max, "reverse(%s)" % a.label, a)
 
 
 def coeff_ring_ops(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid,
@@ -324,10 +302,9 @@ def coeff_ring_ops(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid,
     def prod(u, v):
         return [num_mul(u[n], v[n], bits) for n in range(n_max + 1)]
 
-    product = _map_columns(prod, grid, rho, n_max,
-                           "(%s).(%s)" % (a.label, b.label), a, b)
     return {"sum": add(a, b, grid, rho, n_max=n_max),
-            "product": _attach_witness(product, grid, rho)}
+            "product": _map_columns(prod, grid, rho, n_max,
+                                    "(%s).(%s)" % (a.label, b.label), a, b)}
 
 
 def identity_coefficients(n_max: int) -> HpsCoefficients:

@@ -24,15 +24,16 @@ from .netexpr import EvalError, ParseError
 from .report import (USAGE_EXIT, CheckResult, Report, Stopwatch, jsonable,
                      write_csv, coefficients_csv_rows)
 from .series import (ConvergeOpts, DivergentSeriesError, HpsCoefficients,
-                     MissingWitnessError, SummationBudgetError,
-                     check_strong_eq, check_weak_moderate, classify_radius,
-                     converges_at, eventually_bounded, hyperfinite_sum,
-                     radius, series_limit, table_window)
+                     SummationBudgetError, check_strong_eq,
+                     check_weak_moderate, classify_radius, converges_at,
+                     derived_coefficients, eventually_bounded,
+                     hyperfinite_sum, radius, series_limit, table_window,
+                     weak_witness)
 
 USAGE_ERRORS = (ConfigError, InvalidGaugeError, ParseError, EvalError,
-                NotHypernaturalError, MissingWitnessError,
-                algebra.NotInvertibleError, algebra.InsufficientDepthError,
-                graf.InvalidMollifierError, graf.OutOfCheckableRangeError)
+                NotHypernaturalError, algebra.NotInvertibleError,
+                algebra.InsufficientDepthError, graf.InvalidMollifierError,
+                graf.OutOfCheckableRangeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,13 +203,14 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
         out = algebra.compose(a, _coeffs(cfg, args.series2), args.n_max,
                               grid, rho)
     elif op == "derive":
-        out = algebra.derive(a, grid, rho)
+        out = derived_coefficients(a, 1)
     elif op == "integrate":
         out = algebra.integrate(a, grid, rho, n_max=args.n_max)
     elif op == "recenter":
         if not args.x:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
+        rho = series.rho  # the recentered family is relative to this gauge
         try:
             out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
                                    RECENTER_DEPTH_FACTOR * args.n_max)
@@ -227,7 +229,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
     head = coefficients_csv_rows(out, grid, rho, min(depth, 8))
     return [CheckResult(name="algebra-%s(%s)" % (op, args.series),
                         status="pass",
-                        details={"witness": out.weak_witness,
+                        details={"witness": weak_witness(out, rho, grid),
                                  "head": jsonable(head, grid.precision)})]
 
 

@@ -29,8 +29,7 @@ from typing import Dict, Optional
 from . import corpus, netexpr
 from .nets import ConfigError, EpsGrid, Gauge, GenNum
 from .report import digest
-from .series import (HpsCoefficients, HpsSeries, MissingWitnessError,
-                     attach_weak_witness, make_series)
+from .series import HpsCoefficients, HpsSeries, make_series
 
 DEFAULT_PRECISION = 256
 
@@ -94,28 +93,44 @@ class RunConfig:
                 values.append(netexpr.evaluate(expr, {}, self.grid.precision))
             coeffs = HpsCoefficients.from_column(values)
         else:
-            coeffs = HpsCoefficients.from_expr(str(coeff_spec),
-                                               n_max=spec.get("n_max"))
+            coeffs = HpsCoefficients.from_expr(
+                str(coeff_spec), n_max=_integer(spec.get("n_max"), "n_max"))
         center = GenNum.from_expr(str(spec.get("center", "0")), self.grid,
                                   self.rho)
-        rho = self.gauges[spec.get("rho", "rho")]
-        sigma = self.gauges[spec.get("sigma", "sigma")]
-        if spec.get("attach_witness", True):
-            try:
-                coeffs = attach_weak_witness(coeffs, rho, self.grid,
-                                             n_max=min(64, coeffs.bound_or(64)))
-            except (MissingWitnessError, ConfigError):
-                pass  # not weakly moderate, or too short a table to tell
+        try:
+            rho, sigma = (self.gauges[spec.get(k, k)] for k in ("rho", "sigma"))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError("series gauge is not defined: %s" % exc) from None
         return make_series(coeffs, center, rho, sigma, self.grid)
 
 
+def _integer(value, name: str) -> Optional[int]:
+    """``value`` when it is an integer or None; a ConfigError otherwise."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
+def _object(raw: dict, key: str, default: dict) -> dict:
+    value = raw.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be a JSON object" % key)
+    return value
+
+
 def _build_grid(raw: dict, precision: int, tail_start: int) -> EpsGrid:
-    grid_spec = raw.get("grid", {"decades": [1, 8]})
+    grid_spec = _object(raw, "grid", {"decades": [1, 8]})
     if "decades" in grid_spec:
-        k_min, k_max = grid_spec["decades"]
+        decades = grid_spec["decades"]
+        if not isinstance(decades, list) or len(decades) != 2:
+            raise ConfigError("grid.decades must be [k_min, k_max]")
+        k_min, k_max = (_integer(k, "grid.decades entry") for k in decades)
         return EpsGrid.decades(k_min=k_min, k_max=k_max,
                                tail_start=tail_start, precision=precision)
     if "points" in grid_spec:
+        if not isinstance(grid_spec["points"], list):
+            raise ConfigError("grid.points must be a list")
         points = []
         for text in grid_spec["points"]:
             expr = netexpr.parse(str(text))
@@ -137,23 +152,29 @@ def load_config(path: Optional[str] = None,
                 raw = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (path, exc))
-    precision = precision_override or raw.get("precision", DEFAULT_PRECISION)
+        if not isinstance(raw, dict):
+            raise ConfigError("config %s must hold a JSON object" % path)
+    precision = _integer(precision_override or
+                         raw.get("precision", DEFAULT_PRECISION), "precision")
     if precision < 64:
         raise ConfigError("precision must be at least 64 bits")
-    tail_start = (tail_start_override if tail_start_override is not None
-                  else raw.get("tail_start", 1))
+    tail_start = _integer(tail_start_override if tail_start_override is not None
+                          else raw.get("tail_start", 1), "tail_start")
     grid = _build_grid(raw, precision, tail_start)
     gauges = {"rho": Gauge.from_text("eps", "rho"),
               "sigma": Gauge.from_text("eps", "sigma")}
-    for name, text in raw.get("gauges", {}).items():
+    for name, text in _object(raw, "gauges", {}).items():
         gauges[name] = Gauge.from_text(str(text), name)
     for required in ("rho", "sigma"):
         if required not in gauges:
             raise ConfigError("gauge %r must be defined" % required)
-    series_specs = dict(raw.get("series", {}))
+    series_specs = dict(_object(raw, "series", {}))
+    for name, spec in series_specs.items():
+        if not isinstance(spec, dict):
+            raise ConfigError("series %r must be a JSON object" % name)
     for name, coeffs in corpus.EXPR_FAMILIES.items():
         series_specs.setdefault(name, {"coeffs": coeffs, "center": "0"})
-    points = {str(k): str(v) for k, v in raw.get("points", {}).items()}
+    points = {str(k): str(v) for k, v in _object(raw, "points", {}).items()}
     normalized = {"precision": precision, "tail_start": tail_start,
                   "grid": raw.get("grid", {"decades": [1, 8]}),
                   "gauges": {k: netexpr.to_text(v.expr)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from .graf import MollifierSpec, delta_coeffs, make_mollifier
 from .nets import EpsGrid, Gauge, GenNum
-from .series import HpsCoefficients, HpsSeries, attach_weak_witness, make_series
+from .series import HpsCoefficients, HpsSeries, make_series
 
 
 def default_grid(precision: int = 256, tail_start: int = 1,
@@ -60,13 +60,13 @@ def zero_class_coeffs() -> HpsCoefficients:
 
 def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
                  sigma: Optional[Gauge] = None) -> HpsSeries:
-    """One named example series, centered at zero, witness attached."""
+    """One named example series, centered at zero."""
     if rho is None or sigma is None:
         rho, sigma = standard_gauges()
     if name == "delta":
         _, coeffs = delta_setup(grid, rho)
     elif name in EXPR_FAMILIES:
-        coeffs = attach_weak_witness(_expr_family(name), rho, grid)
+        coeffs = _expr_family(name)
     else:
         raise KeyError("unknown corpus family %r" % name)
     return make_series(coeffs, GenNum.constant(0, grid), rho, sigma, grid)
@@ -81,7 +81,7 @@ def delta_setup(grid: EpsGrid, rho: Optional[Gauge] = None
     if rho is None:
         rho, _ = standard_gauges()
     spec = make_mollifier(grid, rho, b_exponent=1, n_max=DELTA_N_MAX)
-    return spec, delta_coeffs(spec, DELTA_N_MAX, rho)
+    return spec, delta_coeffs(spec, DELTA_N_MAX)
 
 
 def _dyadic(rng: random.Random, lo=Fraction(1, 2), hi=Fraction(2)) -> Fraction:

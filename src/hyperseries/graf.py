@@ -258,7 +258,7 @@ def _validate_moments(moments) -> None:
         raise InvalidMollifierError("zeroth moment outside (0, 2]")
 
 
-def delta_coeffs(m: MollifierSpec, n_max: int, rho: Gauge) -> HpsCoefficients:
+def delta_coeffs(m: MollifierSpec, n_max: int) -> HpsCoefficients:
     """Series family of the delta embedding: mu^(n)(0) b^(n+1) / n!.
 
     Odd entries are exactly zero; the weak witness ties to b's exponent.
@@ -278,12 +278,8 @@ def delta_coeffs(m: MollifierSpec, n_max: int, rho: Gauge) -> HpsCoefficients:
             fact = mpmath.factorial(n)
             rows.append(tuple(mu * as_mpf(m.b.values[i], bits) ** (n + 1) / fact
                               for i in range(len(grid))))
-    out = HpsCoefficients.from_column(rows, label="delta(b=rho^-%d)"
-                                      % m.b_exponent)
-    verdict = check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
-    if verdict.passed:
-        out = out.with_witness(verdict.witness["Q"], verdict.witness["R"])
-    return out
+    return HpsCoefficients.from_column(rows, label="delta(b=rho^-%d)"
+                                       % m.b_exponent)
 
 
 def delta_derivative_net(m: MollifierSpec, k_max: int = 64) -> DerivativeNet:
@@ -324,10 +320,7 @@ def taylor_coeffs(f: DerivativeNet, c: GenNum, n_max: int, rho: Gauge,
             fact = math.factorial(k)
             rows.append(tuple(_div_exactish(v, fact, bits) for v in net.values))
     out = HpsCoefficients.from_column(rows, label="taylor(%s)" % f.label)
-    verdict = check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
-    if verdict.passed:
-        out = out.with_witness(verdict.witness["Q"], verdict.witness["R"])
-    return out, verdict
+    return out, check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
 
 
 def _div_exactish(v, fact, bits):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import mpmath
@@ -67,6 +68,11 @@ class Lit:
     text: str  # normalized decimal lexeme, reprinted verbatim
 
     def fraction(self) -> Fraction:
+        return self._fraction
+
+    @cached_property
+    def _fraction(self) -> Fraction:
+        """The exact value, parsed from ``text`` once per literal."""
         return _decimal_fraction(self.text)
 
 

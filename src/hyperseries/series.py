@@ -111,7 +111,7 @@ class TableExhaustedError(ConfigError):
 
 
 class MissingWitnessError(Exception):
-    """Operation requires coefficients with a weak-moderateness witness."""
+    """Coefficients have no weak-moderateness witness on the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,6 @@ class HpsCoefficients:
     expr: Optional[netexpr.Expr] = None
     rows: Optional[Tuple] = None
     n_max: Optional[int] = None
-    weak_witness: Optional[Tuple[int, int]] = None
     label: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -175,10 +174,6 @@ class HpsCoefficients:
     def bound_or(self, fallback: int) -> int:
         return self.n_max if self.n_max is not None else fallback
 
-    def with_witness(self, q: int, r: int) -> "HpsCoefficients":
-        return HpsCoefficients(expr=self.expr, rows=self.rows, n_max=self.n_max,
-                               weak_witness=(q, r), label=self.label)
-
     def column_values(self, n_max: int) -> list:
         """Per-n values of a table whose rows are shared by every grid point."""
         if self.rows is None:
@@ -194,10 +189,8 @@ class HpsCoefficients:
 
     def materialize(self, n_max: int, grid: EpsGrid, rho: Gauge,
                     label: str = "") -> "HpsCoefficients":
-        out = HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max),
-                                          label=label or self.label)
-        return out if self.weak_witness is None \
-            else out.with_witness(*self.weak_witness)
+        return HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max),
+                                           label=label or self.label)
 
 
 def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
@@ -519,14 +512,17 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
                          % (q_max, r_max))
 
 
-def attach_weak_witness(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
-                        n_max: int = 64, q_max: int = 8,
-                        r_max: int = 8) -> HpsCoefficients:
-    verdict = check_weak_moderate(coeffs, rho, grid, n_max, q_max, r_max)
-    if not verdict.passed:
-        raise MissingWitnessError("coefficients are not weakly moderate: %s"
-                                  % verdict.notes)
-    return coeffs.with_witness(verdict.witness["Q"], verdict.witness["R"])
+def weak_witness(coeffs: HpsCoefficients, rho: Gauge,
+                 grid: EpsGrid) -> Optional[Tuple[int, int]]:
+    """The :func:`check_weak_moderate` pair (Q, R) over rows n <= 64, or None
+    when the family ends before n = 8 or the verdict does not pass.  It
+    depends on the gauge and the grid, so it is searched where it is read."""
+    n_max = min(64, coeffs.bound_or(64))
+    if n_max < 8:
+        return None
+    verdict = check_weak_moderate(coeffs, rho, grid, n_max=n_max)
+    return (verdict.witness["Q"], verdict.witness["R"]) if verdict.passed \
+        else None
 
 
 def check_strong_eq(a: HpsCoefficients, b: HpsCoefficients, rho: Gauge,
@@ -1275,9 +1271,10 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
 def ball_guarantee(coeffs: HpsCoefficients, rho: Gauge,
                    grid: EpsGrid) -> GenNum:
     """Radius rho^Q of guaranteed eventual boundedness, from the witness."""
-    if coeffs.weak_witness is None:
-        raise MissingWitnessError("run check_weak_moderate first")
-    q = coeffs.weak_witness[0]
+    witness = weak_witness(coeffs, rho, grid)
+    if witness is None:
+        raise MissingWitnessError("no weak-moderateness witness on the grid")
+    q = witness[0]
     rho_values = rho.values_on(grid)
     with working_precision(grid.precision):
         values = tuple(r ** q for r in rho_values)

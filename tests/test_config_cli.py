@@ -12,6 +12,7 @@ from hyperseries.config import load_config
 from hyperseries.nets import ConfigError, gauge_le_star
 from hyperseries.report import (CheckResult, Report, canonical_bytes, digest,
                                 jsonable, overall_status)
+from hyperseries.series import weak_witness
 
 
 def run_cli(*args, cwd=None):
@@ -26,7 +27,7 @@ class TestConfig:
         assert len(cfg.grid) == 8
         assert cfg.rho.name == "rho"
         series = cfg.series("geometric")
-        assert series.coeffs.weak_witness == (0, 0)
+        assert weak_witness(series.coeffs, series.rho, series.grid) == (0, 0)
 
     def test_file_round_trip(self, tmp_path):
         payload = {
@@ -72,17 +73,19 @@ class TestConfig:
             {"series": {"short": {"coeffs": ["1", "1/2", "1/4", "1/8"]}}}))
         series = load_config(str(path)).series("short")
         assert series.coeffs.n_max == 3
-        assert series.coeffs.weak_witness is None
+        assert weak_witness(series.coeffs, series.rho, series.grid) is None
 
     def test_witness_search_errors_propagate(self, monkeypatch):
-        import hyperseries.config as config
+        import hyperseries.series as series
+        from hyperseries.cli import main
 
         def broken(*args, **kwargs):
             raise RuntimeError("witness search broke")
 
-        monkeypatch.setattr(config, "attach_weak_witness", broken)
+        monkeypatch.setattr(series, "check_weak_moderate", broken)
         with pytest.raises(RuntimeError, match="witness search broke"):
-            load_config(None).series("geometric")
+            main(["algebra", "add", "--series", "geometric",
+                  "--series2", "doubling", "--n-max", "16"])
 
     def test_coefficient_csv_round_trip(self, tmp_path):
         from hyperseries.report import coefficients_csv_rows, write_csv
@@ -105,7 +108,7 @@ class TestConfig:
         for name, family in families.items():
             coeffs = cfg.series(name).coeffs
             assert coeffs.n_max == 16
-            assert coeffs.weak_witness == (0, 0)
+            assert weak_witness(coeffs, rho, grid) == (0, 0)
             back = coeff_accessor(coeffs, grid, rho)
             original = coeff_accessor(family, grid, rho)
             assert all(back(n, i) == original(n, i)
@@ -191,7 +194,26 @@ _ERROR_CASES = [
 _UNREACHABLE_FROM_CLI = {
     "ShortcutPreconditionError":
         "only converge_shortcut raises it, and no subcommand calls it",
+    "MissingWitnessError":
+        "only ball_guarantee raises it, and no subcommand calls it",
 }
+
+#: Config documents that name a bad value, and text the error line contains.
+_BAD_CONFIGS = [
+    ({"series": {"s": {"coeffs": "1", "rho": "nope"}}}, "'nope'"),
+    ({"series": {"s": {"coeffs": "1", "sigma": ["x"]}}}, "gauge"),
+    ({"grid": {"decades": [1]}}, "grid.decades"),
+    ({"grid": {"decades": ["a", 3]}}, "grid.decades"),
+    ({"grid": 5}, "grid"),
+    ({"grid": {"points": 5}}, "grid.points"),
+    ([1, 2], "JSON object"),
+    ({"precision": "256"}, "precision"),
+    ({"tail_start": "1"}, "tail_start"),
+    ({"gauges": ["eps"]}, "gauges"),
+    ({"series": {"s": "1"}}, "'s'"),
+    ({"series": {"s": {"coeffs": "1", "n_max": "5"}}}, "n_max"),
+    ({"points": ["1/2"]}, "points"),
+]
 
 
 def _public_exceptions():
@@ -231,6 +253,20 @@ class TestErrorExits:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert text in lines[0]
 
+    @pytest.mark.parametrize("document,text", _BAD_CONFIGS,
+                             ids=[json.dumps(c[0]) for c in _BAD_CONFIGS])
+    def test_bad_config_is_one_config_error_line(self, document, text,
+                                                 tmp_path, capsys):
+        from hyperseries.cli import main
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main(["radius", "--series", "s", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert text in lines[0]
+
     def test_every_public_exception_has_a_documented_exit(self, monkeypatch,
                                                           capsys):
         from hyperseries import cli
@@ -249,6 +285,42 @@ class TestErrorExits:
             capsys.readouterr()
             assert code in rows and code != 0, name
             assert "`%s`" % name in rows[code], name
+
+
+#: argv and the report hash of ``algebra`` commands, as written while each
+#: operation still stored a weak witness on its result; the reported witness
+#: is now searched when the report is written and must come out the same.
+_ALGEBRA_HASHES = [
+    ("add --series geometric --series2 doubling --n-max 16",
+     "e5ed1293907e93833a81b78052a9bbca76acf0abc1abd9ddef33b106b86b6fc3"),
+    ("mul --series geometric --series2 doubling --n-max 16",
+     "d90807ec01fc99a6012b20a77cde2990dfe7824b1ccd6c21201d87ff7ef40c85"),
+    ("div --series 3/2^n --series2 geometric --n-max 12",
+     "1af2f2c5a4dc66183d0e28e131048ffdd5460260085ba74c3c0430b56a849884"),
+    ("compose --series exponential --series2 2^n --n-max 12",
+     "3c7c766f346804db91a1e57c1d28c4dca45c9f60ae78e2beab7a535a81b75788"),
+    ("derive --series exponential --n-max 16",
+     "b22f8c1f65d439c39fa4b9215318d0a14dcc04abab7bec587e10dca0f0f2d095"),
+    ("integrate --series geometric --n-max 16",
+     "ea1463b6fb68faf8f6fa448d5a8b5b6f2d973b375d7ff4f3e9cc1aba3dd543dc"),
+    ("reverse --series geometric --n-max 10",
+     "f0ddf62c99a085562513f4623e425cddde37671aaef9e173d2f8fb87d61d3486"),
+    ("reverse --series geometric --n-max 4",
+     "045f8744415cb4e5bfad9d8774a5417da0580b2e4f441f175619b7417b670b37"),
+    ("recenter --series geometric --x 1/4",
+     "68751e81a35a57a69055affc9488752213d7e4a6b0a53d25bfaced7d2b6d31c3"),
+    ("add --series delta --series2 geometric --n-max 20",
+     "5ea2deb5ae62ad5cca54812d07aa039aff893cbe63a954bc7611cb09e21d4cef"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _ALGEBRA_HASHES,
+                         ids=[c[0] for c in _ALGEBRA_HASHES])
+def test_algebra_report_hash(argv, expected, capsys):
+    from hyperseries.cli import main
+    assert main(["algebra"] + argv.split()) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["report_hash"] == "sha256:" + expected
 
 
 @pytest.mark.slow

@@ -17,7 +17,7 @@ from hyperseries.nets import ConfigError, EpsGrid, GenNum, is_negligible
 from hyperseries.numerics import as_mpf, working_precision
 from hyperseries.series import (HpsCoefficients, check_strong_eq,
                                 check_weak_moderate, coeff_accessor,
-                                make_series)
+                                make_series, weak_witness)
 
 
 @pytest.fixture(scope="module")
@@ -87,17 +87,17 @@ class TestBumpAndMoments:
         bad = MollifierSpec(moments=tuple(broken), b=mollifier.b,
                             b_exponent=1, profile="broken", grid=grid)
         with pytest.raises(InvalidMollifierError):
-            delta_coeffs(bad, 64, rho)
+            delta_coeffs(bad, 64)
 
 
 class TestDeltaFamily:
     def test_odd_entries_exactly_zero(self, grid, rho, mollifier):
-        fam = delta_coeffs(mollifier, 96, rho)
+        fam = delta_coeffs(mollifier, 96)
         assert all(fam.rows[n] == 0 for n in range(1, 97, 2))
 
     def test_weak_witness_tracks_scale(self, grid, rho, mollifier):
-        fam = delta_coeffs(mollifier, 96, rho)
-        assert fam.weak_witness == (1, 1)
+        fam = delta_coeffs(mollifier, 96)
+        assert weak_witness(fam, rho, grid) == (1, 1)
 
     def test_eval_at_zero(self, grid, rho, mollifier):
         zero = GenNum.constant(0, grid)
@@ -135,7 +135,7 @@ class TestDeltaFamily:
 
     def test_derivative_net_matches_family(self, grid, rho, mollifier):
         net = delta_derivative_net(mollifier, k_max=32)
-        fam = delta_coeffs(mollifier, 96, rho)
+        fam = delta_coeffs(mollifier, 96)
         zero = GenNum.constant(0, grid)
         acc = coeff_accessor(fam, grid, rho)
         with working_precision(grid.precision):
@@ -179,7 +179,7 @@ class TestTaylorExtraction:
         zero = GenNum.constant(0, grid)
         extracted, verdict = taylor_coeffs(net, zero, 24, rho, grid)
         assert verdict.passed and verdict.witness["Q"] == 1
-        fam = delta_coeffs(mollifier, 96, rho)
+        fam = delta_coeffs(mollifier, 96)
         acc_a = coeff_accessor(extracted, grid, rho)
         acc_b = coeff_accessor(fam, grid, rho)
         with working_precision(grid.precision):

@@ -148,6 +148,26 @@ def test_decimal_literals_are_exact():
     assert eval_exact(parse("0.1"), {}) == Fraction(1, 10)
 
 
+def test_literal_parsed_once(monkeypatch):
+    """Each literal's decimal text is parsed into a Fraction once, however
+    often and in whichever mode its tree is evaluated."""
+    calls = []
+    parse_decimal = netexpr._decimal_fraction
+
+    def counting(text):
+        calls.append(text)
+        return parse_decimal(text)
+
+    monkeypatch.setattr(netexpr, "_decimal_fraction", counting)
+    node = parse("3/2^n + 0.5*n - 1e-2*eps")
+    for n in range(12):
+        assert eval_exact(node, {"n": n, "eps": Fraction(1, 10)}) == \
+            Fraction(3, 2 ** n) + Fraction(n, 2) - Fraction(1, 1000)
+        eval_mpf(node, {"n": n, "eps": mpf("0.1")}, 128)
+        evaluate(node, {"n": n, "eps": mpf("0.1")}, 128)
+    assert sorted(calls) == ["0.5", "1e-2", "2", "3"]
+
+
 # ---------------------------------------------------------------------------
 # canonical printer round trip
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hyperseries.series import (DivergentSeriesError,
                                 converges_at, derivative_net_moderate,
                                 derived_coefficients, eventually_bounded,
                                 hyperfinite_sum, is_formal_hps, make_series,
-                                radius, series_limit)
+                                radius, series_limit, weak_witness)
 
 
 @pytest.fixture(scope="module")
@@ -377,9 +377,26 @@ class TestSharpBoundOfSummands:
 
 class TestBallGuarantee:
     def test_needs_witness(self, grid, rho):
-        bare = HpsCoefficients.from_expr("1")
         with pytest.raises(MissingWitnessError):
-            ball_guarantee(bare, rho, grid)
+            ball_guarantee(HpsCoefficients.from_expr("factorial(n)"), rho, grid)
+
+    def test_short_table_needs_witness(self, grid, rho):
+        table = HpsCoefficients.from_column([1, 1, 1, 1])
+        with pytest.raises(MissingWitnessError):
+            ball_guarantee(table, rho, grid)
+
+    def test_witness_follows_the_grid(self, grid, rho):
+        """A family witnessed on one grid gives the ball of another grid's
+        witness there: 2^n is (1, 0) on the decades, (3, 7) on 0.9..0.5."""
+        doubling = corpus.doubling_coeffs()
+        assert weak_witness(doubling, rho, grid) == (1, 0)
+        with working_precision(grid.precision):
+            points = tuple(mpf(k) / 10 for k in (9, 8, 7, 6, 5))
+        coarse = EpsGrid(points=points, precision=grid.precision)
+        assert weak_witness(doubling, rho, coarse) == (3, 7)
+        ball = ball_guarantee(doubling, rho, coarse)
+        with working_precision(coarse.precision):
+            assert ball.values == tuple(r ** 3 for r in rho.values_on(coarse))
 
     def test_geometric_ball_is_one(self, grid, rho, geometric):
         ball = ball_guarantee(geometric.coeffs, rho, grid)
