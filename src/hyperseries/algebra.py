@@ -2,9 +2,11 @@
 
 Scalar multiple, sum, Cauchy product, reciprocal/division, composition,
 term-wise integration, recentering and compositional reversion (derivation
-is ``series.derived_coefficients``).  Each operation returns a fresh family
-and nothing else: a result's weak witness depends on the gauge and the
-grid, so ``series.weak_witness`` searches it where it is read.
+is ``series.derived_coefficients``).  Every operation is a column op run by
+``_map_columns``: once on the shared columns when no operand varies across
+the grid, otherwise once per grid point.  Each operation returns a fresh
+family and nothing else: a result's weak witness depends on the gauge and
+the grid, so ``series.weak_witness`` searches it where it is read.
 
 Arithmetic stays exact (``Fraction``) whenever the operands are exact and
 independent of the grid point, which is what lets round-trip identities
@@ -22,8 +24,8 @@ from mpmath import mpf
 from .nets import ConfigError, EpsGrid, Gauge, GenNum, is_moderate
 from .numerics import (as_mpf, decimal_str, is_exact, num_add, num_div,
                        num_mul, num_sub, working_precision)
-from .series import (ConvergeOpts, HpsCoefficients, HpsSeries, coeff_rows,
-                     converges_at, point_values)
+from .series import (HpsCoefficients, HpsSeries, coeff_rows, converges_at,
+                     point_values, shared_row)
 
 
 class NotInvertibleError(Exception):
@@ -47,13 +49,28 @@ DEFAULT_DEPTH = 258
 RECENTER_TAIL_TOL = "1e-30"
 
 
-def _map_columns(op, grid, rho, n_max, label, *families):
-    """Apply ``op`` to the families' columns: once to the shared columns when
-    no family varies across the grid, otherwise once per grid point."""
-    tables = [coeff_rows(f, grid, rho, n_max) for f in families]
+def _map_columns(op, grid, rho, n_max, label, *operands):
+    """Apply ``op`` once to the shared columns when no operand varies across
+    the grid, otherwise once per grid point.  An operand is a family (``op``
+    gets its rows 0..n_max) or a per-point value tuple (``op`` gets one
+    entry), shared under :func:`shared_row`.  An InsufficientDepthError from
+    ``op`` gains the grid index of its column, or "every grid point"."""
+    families = [isinstance(x, HpsCoefficients) for x in operands]
+    tables = [coeff_rows(x, grid, rho, n_max) if family else (shared_row(x),)
+              for x, family in zip(operands, families)]
+
+    def run(where, columns):
+        try:
+            return op(*[column if family else column[0]
+                        for column, family in zip(columns, families)])
+        except InsufficientDepthError as exc:
+            raise InsufficientDepthError("%s, %s" % (exc.where, where)) from None
+
     if not any(isinstance(row, tuple) for rows in tables for row in rows):
-        return HpsCoefficients.from_column(op(*tables), label=label)
-    per_point = [op(*[[row[i] if isinstance(row, tuple) else row
+        return HpsCoefficients.from_column(run("every grid point", tables),
+                                           label=label)
+    per_point = [run("grid index %d" % i,
+                     [[row[i] if isinstance(row, tuple) else row
                        for row in rows] for rows in tables])
                  for i in range(len(grid))]
     return HpsCoefficients.from_column(zip(*per_point), label=label)
@@ -66,23 +83,24 @@ def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
         raise ConfigError("scalar factor is not moderate on the grid")
     n_max = n_max if n_max is not None else a.bound_or(DEFAULT_DEPTH)
     bits = grid.precision
-    rows = [tuple(num_mul(factor, value, bits) for factor, value
-                  in zip(r.values, point_values(row, len(grid))))
-            for row in coeff_rows(a, grid, rho, n_max)]
-    return HpsCoefficients.from_column(rows, label="scalar*" + a.label)
+    return _map_columns(lambda u, factor: [num_mul(factor, v, bits) for v in u],
+                        grid, rho, n_max, "scalar*" + a.label, a, r.values)
+
+
+def _indexwise(num_op, sign, a, b, grid, rho, n_max):
+    """Entry-wise ``num_op`` of two families, to the shorter depth by default."""
+    n_max = n_max if n_max is not None else min(a.bound_or(DEFAULT_DEPTH),
+                                                b.bound_or(DEFAULT_DEPTH))
+    bits = grid.precision
+    return _map_columns(lambda u, v: [num_op(u[n], v[n], bits)
+                                      for n in range(n_max + 1)],
+                        grid, rho, n_max,
+                        "(%s)%s(%s)" % (a.label, sign, b.label), a, b)
 
 
 def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
         n_max: Optional[int] = None) -> HpsCoefficients:
-    n_max = n_max if n_max is not None else min(a.bound_or(DEFAULT_DEPTH),
-                                                b.bound_or(DEFAULT_DEPTH))
-    bits = grid.precision
-
-    def pointwise(u, v):
-        return [num_add(u[n], v[n], bits) for n in range(n_max + 1)]
-
-    return _map_columns(pointwise, grid, rho, n_max,
-                        "(%s)+(%s)" % (a.label, b.label), a, b)
+    return _indexwise(num_add, "+", a, b, grid, rho, n_max)
 
 
 def _convolve(u, v, n_max, bits):
@@ -100,34 +118,32 @@ def cauchy_product(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
                    grid: EpsGrid, rho: Gauge) -> HpsCoefficients:
     """Convolution c_n = sum a_k b_(n-k), exact for exact operands."""
     bits = grid.precision
-
-    def conv(u, v):
-        return _convolve(u, v, n_max, bits)
-
-    return _map_columns(conv, grid, rho, n_max,
-                        "(%s)*(%s)" % (a.label, b.label), a, b)
+    return _map_columns(lambda u, v: _convolve(u, v, n_max, bits),
+                        grid, rho, n_max, "(%s)*(%s)" % (a.label, b.label),
+                        a, b)
 
 
-def _invertibility_margin(values, rho_values, tail, bits, m_max):
+def _require_invertible(family, name, n, grid, rho, m_max):
+    """Raise unless entry n of ``family`` is at least rho^m in absolute value
+    on the tail, for one m <= m_max."""
+    bits = grid.precision
+    rho_values = rho.values_on(grid)
+    values = point_values(coeff_rows(family, grid, rho, n)[n], len(grid))
     with working_precision(bits):
         for m in range(m_max + 1):
             if all(abs(as_mpf(values[i], bits)) >= rho_values[i] ** m
-                   for i in tail):
-                return m
-    return None
+                   for i in grid.tail):
+                return
+    raise NotInvertibleError("%s_%d admits no lower bound rho^m with m <= %d "
+                             "on the tail" % (name, n, m_max))
 
 
 def reciprocal_div(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
                    grid: EpsGrid, rho: Gauge, m_max: int = 8) -> HpsCoefficients:
     """Coefficients of a/b via the triangular recursion d_0 = a_0/b_0,
     d_n = (a_n - sum b_l d_(n-l)) / b_0."""
+    _require_invertible(b, "b", 0, grid, rho, m_max)
     bits = grid.precision
-    rho_values = rho.values_on(grid)
-    head = point_values(coeff_rows(b, grid, rho, 0)[0], len(grid))
-    margin = _invertibility_margin(head, rho_values, list(grid.tail), bits, m_max)
-    if margin is None:
-        raise NotInvertibleError(
-            "b_0 admits no lower bound rho^m with m <= %d on the tail" % m_max)
 
     def divide(u, v):
         out = [num_div(u[0], v[0], bits)]
@@ -168,12 +184,9 @@ def compose(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     each output order is a finite sum over outer orders k <= n.
     """
     bits = grid.precision
-
-    def comp(u, v):
-        return _compose_column(u, v, n_max, bits)
-
-    return _map_columns(comp, grid, rho, n_max,
-                        "(%s)o(%s)" % (a.label, b.label), a, b)
+    return _map_columns(lambda u, v: _compose_column(u, v, n_max, bits),
+                        grid, rho, n_max, "(%s)o(%s)" % (a.label, b.label),
+                        a, b)
 
 
 def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -183,29 +196,27 @@ def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     if n_max < 1:
         raise ConfigError("integration depth must be at least 1")
     bits = grid.precision
-
-    def anti(u):
-        # input depth n_max - 1 produces output depth n_max
-        return [Fraction(0)] + [num_div(u[n], n + 1, bits)
-                                for n in range(len(u))]
-
-    return _map_columns(anti, grid, rho, n_max - 1, "int(%s)" % a.label, a)
+    # input depth n_max - 1 produces output depth n_max
+    return _map_columns(lambda u: [Fraction(0)] + [num_div(u[n], n + 1, bits)
+                                                   for n in range(len(u))],
+                        grid, rho, n_max - 1, "int(%s)" % a.label, a)
 
 
 def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
-             m_max: int, check: bool = True,
-             opts: ConvergeOpts = ConvergeOpts()) -> HpsCoefficients:
+             m_max: int, check: bool = True) -> HpsCoefficients:
     """Re-expand at a new center inside the set of convergence.
 
     new_a(n) = sum_(m=n..m_max) a_m C(m, n) (new_c - c)^(m-n), truncated at
-    m_max; raises when the geometric estimate of the dropped tail is not
-    below ``RECENTER_TAIL_TOL`` relative to the computed entry.
+    m_max; raises :class:`InsufficientDepthError` when the geometric
+    estimate of the dropped tail is not below ``RECENTER_TAIL_TOL`` relative
+    to the computed entry, naming n and the grid index of the column, or
+    "every grid point" when the series and the shift are shared.
     """
     if m_max < n_max:
         raise ConfigError("recenter needs m_max >= n_max (got %d < %d)"
                           % (m_max, n_max))
     if check:
-        report = converges_at(series, new_center, opts)
+        report = converges_at(series, new_center)
         if not report.overall.passed:
             raise ConfigError("new center is outside the verified set of "
                               "convergence: %s" % report.overall.status)
@@ -213,54 +224,45 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
     bits = grid.precision
     shift = tuple(num_sub(a, b, bits)
                   for a, b in zip(new_center.values, series.center.values))
-    rows = coeff_rows(series.coeffs, grid, series.rho, m_max)
-    columns = []
     with working_precision(bits):
-        for i, a in enumerate(zip(*[point_values(row, len(grid))
-                                    for row in rows])):
-            d = shift[i]
-            column = []
+        no_bound = mpf("0.95")
+        tolerance = mpf(RECENTER_TAIL_TOL)
+
+    def shifted(a, d):
+        column = []
+        with working_precision(bits):
+            # geometric tail audit at the truncation edge, scaled per n below
+            a_hi = as_mpf(a[m_max], bits)
+            a_lo = as_mpf(a[m_max - 1], bits)
+            growth = (None if a_lo == 0 or a_hi == 0
+                      else abs(a_hi / a_lo) * abs(as_mpf(d, bits)))
             for n in range(n_max + 1):
                 total = None
                 binom = Fraction(1)  # C(n, n)
                 power = Fraction(1) if is_exact(d) else mpf(1)
-                last_term = None
                 for m in range(n, m_max + 1):
                     term = num_mul(num_mul(a[m], binom, bits), power, bits)
                     total = term if total is None else num_add(total, term, bits)
-                    last_term = term
                     binom = binom * (m + 1) / (m + 1 - n)
                     power = num_mul(power, d, bits)
-                # geometric tail audit at the truncation edge
-                tail_ratio = _tail_ratio(a, m_max, n, d, bits)
-                if tail_ratio is not None:
-                    if tail_ratio >= mpf("0.95"):
-                        raise InsufficientDepthError(
-                            "truncation tail has no geometric bound at n=%d, "
-                            "grid index %d" % (n, i))
-                    estimate = (abs(as_mpf(last_term, bits)) * tail_ratio
+                if growth is not None:
+                    tail_ratio = growth * (m_max + 1) / max(1, m_max + 1 - n)
+                    if tail_ratio >= no_bound:
+                        raise InsufficientDepthError("truncation tail has no "
+                                                     "geometric bound at n=%d" % n)
+                    # the m loop always runs, so term is its last term
+                    estimate = (abs(as_mpf(term, bits)) * tail_ratio
                                 / (1 - tail_ratio))
-                    budget = mpf(RECENTER_TAIL_TOL) * (
-                        1 + abs(as_mpf(total, bits)))
-                    if estimate > budget:
+                    if estimate > tolerance * (1 + abs(as_mpf(total, bits))):
                         raise InsufficientDepthError(
-                            "truncation tail %s exceeds tolerance at n=%d, "
-                            "grid index %d"
-                            % (decimal_str(estimate, 64), n, i))
+                            "truncation tail %s exceeds tolerance at n=%d"
+                            % (decimal_str(estimate, 64), n))
                 column.append(total)
-            columns.append(column)
-    return HpsCoefficients.from_column(
-        zip(*columns), label="recenter(%s)" % series.coeffs.label)
+        return column
 
-
-def _tail_ratio(a, m_max, n, d, bits):
-    with working_precision(bits):
-        a_hi = as_mpf(a[m_max], bits)
-        a_lo = as_mpf(a[m_max - 1], bits)
-        if a_lo == 0 or a_hi == 0:
-            return None
-        growth = abs(a_hi / a_lo) * abs(as_mpf(d, bits))
-        return growth * (m_max + 1) / max(1, m_max + 1 - n)
+    return _map_columns(shifted, grid, series.rho, m_max,
+                        "recenter(%s)" % series.coeffs.label,
+                        series.coeffs, shift)
 
 
 def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
@@ -272,13 +274,8 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
     """
     if n_max < 1:
         raise ConfigError("reverse needs n_max >= 1")
+    _require_invertible(a, "a", 1, grid, rho, m_max)
     bits = grid.precision
-    rho_values = rho.values_on(grid)
-    slopes = point_values(coeff_rows(a, grid, rho, 1)[1], len(grid))
-    margin = _invertibility_margin(slopes, rho_values, list(grid.tail), bits, m_max)
-    if margin is None:
-        raise NotInvertibleError(
-            "a_1 admits no lower bound rho^m with m <= %d on the tail" % m_max)
 
     def invert(u):
         tilde = [Fraction(0) if is_exact(u[0]) else mpf(0)] + list(u[1:n_max + 1])
@@ -295,16 +292,8 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
 def coeff_ring_ops(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid,
                    rho: Gauge, n_max: Optional[int] = None) -> dict:
     """Ring operations on coefficient families: index-wise sum and product."""
-    n_max = n_max if n_max is not None else min(a.bound_or(DEFAULT_DEPTH),
-                                                b.bound_or(DEFAULT_DEPTH))
-    bits = grid.precision
-
-    def prod(u, v):
-        return [num_mul(u[n], v[n], bits) for n in range(n_max + 1)]
-
     return {"sum": add(a, b, grid, rho, n_max=n_max),
-            "product": _map_columns(prod, grid, rho, n_max,
-                                    "(%s).(%s)" % (a.label, b.label), a, b)}
+            "product": _indexwise(num_mul, ".", a, b, grid, rho, n_max)}
 
 
 def identity_coefficients(n_max: int) -> HpsCoefficients:

@@ -32,6 +32,8 @@ from .report import digest
 from .series import HpsCoefficients, HpsSeries, make_series
 
 DEFAULT_PRECISION = 256
+#: Most points a ``grid.decades`` range may hold (the default range has 8).
+MAX_DECADE_POINTS = 100
 
 
 @dataclass
@@ -126,6 +128,9 @@ def _build_grid(raw: dict, precision: int, tail_start: int) -> EpsGrid:
         if not isinstance(decades, list) or len(decades) != 2:
             raise ConfigError("grid.decades must be [k_min, k_max]")
         k_min, k_max = (_integer(k, "grid.decades entry") for k in decades)
+        if k_max - k_min + 1 > MAX_DECADE_POINTS:
+            raise ConfigError("grid.decades [%d, %d] holds more than %d points"
+                              % (k_min, k_max, MAX_DECADE_POINTS))
         return EpsGrid.decades(k_min=k_min, k_max=k_max,
                                tail_start=tail_start, precision=precision)
     if "points" in grid_spec:

@@ -153,15 +153,9 @@ class HpsCoefficients:
 
     @classmethod
     def from_column(cls, values: Sequence, label: str = "") -> "HpsCoefficients":
-        """Table family; each row is one shared value or a per-point tuple.
-
-        This is the one shared-row rule: a tuple whose entries are all exact
-        and equal is stored as that one value.
-        """
-        rows = tuple(row[0] if isinstance(row, tuple)
-                     and all(is_exact(v) and v == row[0] for v in row)
-                     else row for row in values)
-        return cls(rows=rows, label=label)
+        """Table family; each row is one shared value or a per-point tuple,
+        stored as :func:`shared_row` leaves it."""
+        return cls(rows=tuple(shared_row(row) for row in values), label=label)
 
     @classmethod
     def zeros(cls, n_max: int, label: str = "0") -> "HpsCoefficients":
@@ -253,6 +247,14 @@ def coeff_rows(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     :func:`coeff_accessor`."""
     read = coeff_accessor(coeffs, grid, rho)
     return tuple(read(n, None) for n in range(n_max + 1))
+
+
+def shared_row(row):
+    """The one shared-row rule: a tuple whose entries are all exact and equal
+    is that one value; any other row is returned as it is."""
+    if isinstance(row, tuple) and all(is_exact(v) and v == row[0] for v in row):
+        return row[0]
+    return row
 
 
 def point_values(row, size: int) -> tuple:
@@ -773,6 +775,7 @@ def _sum_terms(acc, y_i, i, bits, n_start, n_stop, budget, abort_above,
         previous = None
         previous_term = None
         peak = mpf(0)
+        ratio_cap = mpf("0.9999")
         tiny_run = 0
         grow_run = 0
         huge_run = 0
@@ -805,7 +808,7 @@ def _sum_terms(acc, y_i, i, bits, n_start, n_stop, budget, abort_above,
                         worst = max(recent)
                         # ratio majorant with a factor-2 guard; sound for the
                         # non-increasing ratio profiles of admissible families
-                        if worst <= mpf("0.9999"):
+                        if worst <= ratio_cap:
                             tail_bound = 2 * magnitude * worst / (1 - worst)
                             if tail_bound <= target * (1 + abs(total)) or \
                                     tail_bound <= floor_scale * (1 + abs(total)):
@@ -1219,8 +1222,7 @@ class ShortcutPreconditionError(Exception):
         super().__init__("%s%s" % (kind, ": " + detail if detail else ""))
 
 
-def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
-                      opts: ConvergeOpts = ConvergeOpts()) -> Verdict:
+def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum) -> Verdict:
     """Membership at x from convergence plus eventual bounds at x_bar.
 
     Inside the ball reached by a convergent, eventually bounded point, a
@@ -1229,7 +1231,7 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
     """
     grid = series.grid
     bits = grid.precision
-    reference = converges_at(series, x_bar, opts)
+    reference = converges_at(series, x_bar)
     if not reference.overall.passed:
         raise ShortcutPreconditionError("not-convergent-at-reference")
     bound_report = eventually_bounded(series, x_bar)
@@ -1255,8 +1257,8 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum,
                              as_mpf(bound_report.r_bound.values[i], bits))
                          for i, column in enumerate(head))
     big_k = GenNum(values=k_values, grid=grid)
-    limit_net = series_limit(series, x, q_target=opts.q_target,
-                             n_cap=opts.n_cap)
+    limit_net = series_limit(series, x, q_target=ConvergeOpts.q_target,
+                             n_cap=ConvergeOpts.n_cap)
     moderate = is_moderate(limit_net, series.rho, grid, MODERATE_N_MAX)
     if moderate.passed:
         return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],

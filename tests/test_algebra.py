@@ -6,14 +6,14 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from hyperseries import corpus
+from hyperseries import algebra, corpus
 from hyperseries.algebra import (InsufficientDepthError, NotInvertibleError,
                                  add, cauchy_product, coeff_ring_ops, compose,
                                  identity_coefficients, integrate,
                                  reciprocal_div, recenter, reverse, scalar_mul)
-from hyperseries.nets import ConfigError, GenNum
-from hyperseries.numerics import as_mpf, working_precision
-from hyperseries.series import (HpsCoefficients, check_strong_eq,
+from hyperseries.nets import ConfigError, EpsGrid, GenNum
+from hyperseries.numerics import as_mpf, num_mul, working_precision
+from hyperseries.series import (HpsCoefficients, HpsSeries, check_strong_eq,
                                 derived_coefficients, make_series, radius,
                                 series_limit, weak_witness)
 
@@ -267,6 +267,37 @@ class TestRecenter:
         with pytest.raises(InsufficientDepthError):
             recenter(series, GenNum.constant(Fraction(1, 2), grid), 8, 30,
                      check=False)
+
+    def test_depth_error_names_the_column(self, grid, rho, sigma):
+        series = corpus.build_series("geometric", grid, rho, sigma)
+        with pytest.raises(InsufficientDepthError,
+                           match=r"at n=0, every grid point; raise m_max"):
+            recenter(series, GenNum.constant(Fraction(1, 2), grid), 8, 30,
+                     check=False)
+        with pytest.raises(InsufficientDepthError,
+                           match=r"at n=0, grid index 0; raise m_max"):
+            recenter(series, GenNum.from_expr("1/2 + rho", grid, rho), 8, 30,
+                     check=False)
+
+    def test_shared_column_computed_once(self, rho, sigma, monkeypatch):
+        calls = []
+
+        def counting(a, b, bits):
+            calls.append(None)
+            return num_mul(a, b, bits)
+
+        monkeypatch.setattr(algebra, "num_mul", counting)
+        counts = []
+        for grid in (EpsGrid.decades(), EpsGrid.decades(1, 1, tail_start=0)):
+            # built directly: no gauge decreases across a one-point grid
+            series = HpsSeries(corpus.geometric_coeffs(),
+                               GenNum.constant(0, grid), rho, sigma, grid)
+            calls.clear()
+            out = recenter(series, GenNum.constant(Fraction(1, 4), grid), 8,
+                           80, check=False)
+            assert abs(out.column_values(8)[0] - Fraction(4, 3)) < 1e-30
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestCoeffRing:

@@ -204,6 +204,7 @@ _BAD_CONFIGS = [
     ({"series": {"s": {"coeffs": "1", "sigma": ["x"]}}}, "gauge"),
     ({"grid": {"decades": [1]}}, "grid.decades"),
     ({"grid": {"decades": ["a", 3]}}, "grid.decades"),
+    ({"grid": {"decades": [1, 100000000]}}, "more than 100 points"),
     ({"grid": 5}, "grid"),
     ({"grid": {"points": 5}}, "grid.points"),
     ([1, 2], "JSON object"),
@@ -287,9 +288,11 @@ class TestErrorExits:
             assert "`%s`" % name in rows[code], name
 
 
-#: argv and the report hash of ``algebra`` commands, as written while each
-#: operation still stored a weak witness on its result; the reported witness
-#: is now searched when the report is written and must come out the same.
+#: argv and the report hash of ``algebra`` commands.  The first ten were
+#: written while each operation still stored a weak witness on its result;
+#: the reported witness is now searched when the report is written and must
+#: come out the same.  The last was written while ``recenter`` still looped
+#: over the grid points itself.
 _ALGEBRA_HASHES = [
     ("add --series geometric --series2 doubling --n-max 16",
      "e5ed1293907e93833a81b78052a9bbca76acf0abc1abd9ddef33b106b86b6fc3"),
@@ -311,6 +314,9 @@ _ALGEBRA_HASHES = [
      "68751e81a35a57a69055affc9488752213d7e4a6b0a53d25bfaced7d2b6d31c3"),
     ("add --series delta --series2 geometric --n-max 20",
      "5ea2deb5ae62ad5cca54812d07aa039aff893cbe63a954bc7611cb09e21d4cef"),
+    # the shift rho varies across the grid: one column per grid point
+    ("recenter --series geometric --x rho --n-max 16",
+     "0ee08d858132291404f5ce460c4c1a23ce4fea54e2d8069db903feb44e53bac6"),
 ]
 
 
