@@ -10,8 +10,7 @@ the limit condition fails.
 
 import mpmath
 
-from hyperseries import ConvergeOpts, EpsGrid, GenNum, corpus
-from hyperseries import converges_at
+from hyperseries import EpsGrid, GenNum, converges_at, corpus
 
 print(__doc__)
 
@@ -30,7 +29,7 @@ def show(label, report):
 
 
 x_in = GenNum.from_expr("-log(rho)", grid, rho)
-inside = converges_at(exponential, x_in, ConvergeOpts(q_target=30))
+inside = converges_at(exponential, x_in, q_target=30)
 show("x = -log(rho):", inside)
 with mpmath.workprec(280):
     worst = max(abs(v - 1 / p) * p for v, p in

@@ -19,16 +19,15 @@ from .nets import (ConfigError, EpsGrid, ExtGenNum, Gauge, GenNum, HyperNat,
                    gauge_le_star, hypernat_from_expr, is_moderate,
                    is_negligible, valuation)
 from .netexpr import EvalError, ParseError, eval_exact, eval_mpf, parse, to_text
-from .series import (ConvergeOpts, ConvergenceReport, DivergentSeriesError,
+from .series import (ConvergenceReport, DivergentSeriesError,
                      EventualBoundReport, HpsCoefficients, HpsSeries,
-                     MissingWitnessError, RadiusClassification,
-                     RadiusEstimate, ShortcutPreconditionError,
-                     SummationBudgetError, ball_guarantee, check_strong_eq,
-                     check_weak_moderate, classify_radius, converge_shortcut,
-                     converges_at, derivative_net_moderate,
-                     derived_coefficients, eventually_bounded,
-                     hyperfinite_sum, is_formal_hps, make_series, radius,
-                     series_limit, weak_witness)
+                     MissingWitnessError, RadiusClassification, RadiusEstimate,
+                     ShortcutPreconditionError, SummationBudgetError,
+                     ball_guarantee, check_strong_eq, check_weak_moderate,
+                     classify_radius, converge_shortcut, converges_at,
+                     derivative_net_moderate, derived_coefficients,
+                     eventually_bounded, hyperfinite_sum, is_formal_hps,
+                     make_series, radius, series_limit, weak_witness)
 from .algebra import (InsufficientDepthError, NotInvertibleError, add,
                       cauchy_product, coeff_ring_ops, compose,
                       identity_coefficients, integrate, reciprocal_div,

@@ -24,10 +24,9 @@ from .nets import (ConfigError, EpsGrid, Gauge, GenNum, ext_eq,
 from .numerics import (GUARD_BITS, as_mpf, decimal_str, num_sub,
                        tail_exceeds, working_precision)
 from .report import CheckResult, canonical_bytes, digest, jsonable
-from .series import (ConvergeOpts, HpsCoefficients, check_strong_eq,
-                     classify_radius, converges_at, derived_coefficients,
-                     hyperfinite_sum, make_series, radius, series_limit,
-                     weak_witness)
+from .series import (HpsCoefficients, check_strong_eq, classify_radius,
+                     converges_at, derived_coefficients, hyperfinite_sum,
+                     make_series, radius, series_limit, weak_witness)
 
 
 @dataclass
@@ -117,7 +116,7 @@ def criterion_02_exponential_split(env: SuiteEnv) -> CheckResult:
     exp_series = env.series("exponential")
     good = converges_at(exp_series,
                         GenNum.from_expr("-log(rho)", env.grid, env.rho),
-                        ConvergeOpts(q_target=30))
+                        q_target=30)
     bits = env.grid.precision
     rel_ok = True
     worst = mpf(0)

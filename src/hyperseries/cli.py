@@ -23,7 +23,7 @@ from .nets import (ConfigError, GenNum, InvalidGaugeError,
 from .netexpr import EvalError, ParseError
 from .report import (USAGE_EXIT, CheckResult, Report, Stopwatch, jsonable,
                      write_csv, coefficients_csv_rows)
-from .series import (ConvergeOpts, DivergentSeriesError, HpsCoefficients,
+from .series import (Q_TARGET, DivergentSeriesError, HpsCoefficients,
                      SummationBudgetError, check_strong_eq,
                      check_weak_moderate, classify_radius, converges_at,
                      derived_coefficients, eventually_bounded,
@@ -155,10 +155,7 @@ def _cmd_limit(cfg, args, sink) -> List[CheckResult]:
 def _cmd_converge(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
     x = _point(cfg, args.x)
-    opts = ConvergeOpts(margin=args.margin, q_close=args.q_close,
-                        q_target=args.q_target, k_max=args.k_max,
-                        n_cap=args.n_cap)
-    report = converges_at(series, x, opts)
+    report = converges_at(series, x, q_target=args.q_target)
     details = {"radius": report.cond_radius, "formal": report.cond_formal,
                "limit": report.cond_limit, "derivatives": report.cond_derivs}
     if report.limit is not None:
@@ -180,8 +177,24 @@ def _cmd_bounded(cfg, args, sink) -> List[CheckResult]:
 
 _ALGEBRA_OPS = ("add", "mul", "div", "compose", "derive", "integrate",
                 "recenter", "reverse")
-#: ``algebra recenter`` sums the old series to this multiple of ``--n-max``.
-RECENTER_DEPTH_FACTOR = 4
+#: ``algebra recenter`` sums the old series to the first of these multiples
+#: of ``--n-max`` whose truncation tail check passes.
+RECENTER_DEPTH_FACTORS = (4, 8, 16, 32, 64)
+
+
+def _recenter(series, center: GenNum, n_max: int):
+    """``algebra.recenter`` at the depths of ``RECENTER_DEPTH_FACTORS``;
+    the membership check runs at the first depth only."""
+    for factor in RECENTER_DEPTH_FACTORS:
+        try:
+            return algebra.recenter(series, center, n_max, factor * n_max,
+                                    check=factor == RECENTER_DEPTH_FACTORS[0])
+        except algebra.InsufficientDepthError as exc:
+            failure = exc
+    # no flag sets m_max here: the depth follows --n-max
+    raise ConfigError("%s; raise --n-max (recenter sums to at most %d * "
+                      "--n-max)" % (failure.where, RECENTER_DEPTH_FACTORS[-1])) \
+        from failure
 
 
 def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
@@ -211,13 +224,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
         rho = series.rho  # the recentered family is relative to this gauge
-        try:
-            out = algebra.recenter(series, _point(cfg, args.x), args.n_max,
-                                   RECENTER_DEPTH_FACTOR * args.n_max)
-        except algebra.InsufficientDepthError as exc:
-            # no flag sets m_max here: the depth follows --n-max
-            raise ConfigError("%s; raise --n-max (recenter sums to %d * --n-max)"
-                              % (exc.where, RECENTER_DEPTH_FACTOR)) from exc
+        out = _recenter(series, _point(cfg, args.x), args.n_max)
     else:
         out = algebra.reverse(a, args.n_max, grid, rho, m_max=args.m_max)
     depth = min(out.bound_or(args.n_max), args.n_max)
@@ -354,11 +361,7 @@ def build_parser() -> _Parser:
     p = command("converge", _cmd_converge)
     p.add_argument("--series", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--margin", type=int, default=6)
-    p.add_argument("--q-close", type=int, default=6)
-    p.add_argument("--q-target", type=int, default=8)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--n-cap", type=int, default=10 ** 6)
+    p.add_argument("--q-target", type=int, default=Q_TARGET)
 
     p = command("bounded", _cmd_bounded)
     p.add_argument("--series", required=True)

@@ -29,9 +29,9 @@ from . import netexpr
 from .nets import (FAIL, PASS, ConfigError, EpsGrid, Gauge, GenNum,
                    Verdict, combine_verdicts, is_negligible)
 from .numerics import GUARD_BITS, as_mpf, decimal_str, working_precision
-from .series import (HpsCoefficients, HpsSeries, _doubling_slopes,
-                     _first_bound, _series_limit_report, _upward_trend,
-                     check_weak_moderate, derived_coefficients)
+from .series import (DivergentSeriesError, HpsCoefficients, HpsSeries,
+                     _doubling_slopes, _first_bound, _upward_trend,
+                     check_weak_moderate, derived_coefficients, series_limit)
 
 
 class InvalidMollifierError(Exception):
@@ -73,14 +73,11 @@ class DerivativeNet:
         def evaluate(k: int, x: GenNum) -> GenNum:
             derived = series if k == 0 else replace(
                 series, coeffs=derived_coefficients(series.coeffs, k))
-            report = _series_limit_report(derived, x, q_target=10,
-                                          n_cap=10 ** 6)
-            bad = [i for i, (_, status, _) in enumerate(report)
-                   if status != "converged"]
-            if bad:
+            try:
+                return series_limit(derived, x, q_target=10)
+            except DivergentSeriesError as exc:
                 raise ConfigError("derivative series does not settle at grid "
-                                  "indices %s" % bad)
-            return GenNum(values=tuple(v for v, _, _ in report), grid=series.grid)
+                                  "indices %s" % list(exc.cells)) from exc
 
         return cls(evaluator=evaluate, k_max=k_max,
                    label="series(%s)" % series.coeffs.label)

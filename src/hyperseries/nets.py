@@ -421,12 +421,7 @@ def ext_eq(x, y, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdict:
             with working_precision(grid.precision):
                 finite_diff.append(a - b)
     diff = GenNum(values=tuple(finite_diff), grid=grid)
-    inner = is_negligible(diff, rho, grid, q_max=q_max)
-    if inner.passed:
-        return Verdict(PASS, witness={"q": inner.witness["q"]})
-    if inner.failed:
-        return Verdict(FAIL, counterexample=inner.counterexample, notes=inner.notes)
-    return Verdict(INCONCLUSIVE, notes=inner.notes)
+    return is_negligible(diff, rho, grid, q_max=q_max)
 
 
 def gauge_le_star(sigma: Gauge, rho: Gauge, grid: EpsGrid) -> Verdict:

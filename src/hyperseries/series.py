@@ -17,7 +17,9 @@ indices).  On top of these the module builds:
   reciprocal;
 * truncated sums with hypernatural index bounds, epsilon-wise series limits
   with explicit tail control, and the four-condition membership test of the
-  set of convergence.
+  set of convergence, whose one setting is the tail target ``q_target``
+  (its other bounds are the constants ``MARGIN``, ``Q_CLOSE``, ``K_MAX``,
+  ``N_CAP``, ``LADDER_MAX`` and ``RADIUS_WINDOW``).
 
 Sums run in increasing ``n`` at working precision and are cut off once a
 geometric majorant of the remaining tail falls below the last representable
@@ -78,6 +80,16 @@ ABORT_EXPONENT = 256
 #: The membership test sums up to the sigma-ladder rungs sigma^-1 ..
 #: sigma^-LADDER_MAX.
 LADDER_MAX = 4
+#: Strict-gap exponent of the membership test: |x-c| < r by rho^MARGIN.
+MARGIN = 6
+#: Closeness of the membership test's ladder sums to the limit: rho^Q_CLOSE.
+Q_CLOSE = 6
+#: Default tail-control target inside the membership test's series_limit.
+Q_TARGET = 8
+#: The membership test checks the derived series of orders 1..K_MAX.
+K_MAX = 3
+#: Term cap of every sum; ``series_limit`` alone takes another.
+N_CAP = 10 ** 6
 #: Exponent bound of the moderateness tests on block, limit and derived nets.
 MODERATE_N_MAX = 8
 #: Float log excess above which ``_first_bound`` skips a lattice point
@@ -870,13 +882,12 @@ def _summation(series: HpsSeries, x: GenNum):
     return sum_at
 
 
-def hyperfinite_sum(series: HpsSeries, x: GenNum, upper: HyperNat,
-                    budget: int = 10 ** 6) -> GenNum:
+def hyperfinite_sum(series: HpsSeries, x: GenNum, upper: HyperNat) -> GenNum:
     """Per-point truncated sum to the hypernatural index, increasing n."""
     sum_at = _summation(series, x)
     values = []
     for i in range(len(series.grid)):
-        value, last_n, status, _ = sum_at(i, 0, upper.values[i], budget)
+        value, last_n, status, _ = sum_at(i, 0, upper.values[i], N_CAP)
         if status not in ("complete", "stopped"):
             raise SummationBudgetError(last_n + 1, i)
         values.append(value)
@@ -897,8 +908,9 @@ def _series_limit_report(series: HpsSeries, x: GenNum, q_target: int,
 
 
 def series_limit(series: HpsSeries, x: GenNum, q_target: int = 6,
-                 n_cap: int = 10 ** 6) -> GenNum:
-    """Epsilon-wise limit of the series at x, to within rho^q_target tails."""
+                 n_cap: int = N_CAP) -> GenNum:
+    """Epsilon-wise limit of the series at x, to within rho^q_target tails;
+    :class:`DivergentSeriesError` names the grid indices that do not settle."""
     report = _series_limit_report(series, x, q_target, n_cap)
     bad = [i for i, (_, status, _) in enumerate(report) if status != "converged"]
     if bad:
@@ -911,71 +923,58 @@ def series_limit(series: HpsSeries, x: GenNum, q_target: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def is_formal_hps(series: HpsSeries, x: GenNum,
-                  budget: int = 10 ** 6) -> Verdict:
+def _ladder_tops(series: HpsSeries) -> list:
+    """Per rung j = 1..LADDER_MAX, the per-point top index floor(sigma^-j),
+    clipped to the family's last row when it has one."""
+    clip = series.coeffs.n_max
+    rungs = sigma_ladder(series.sigma, series.grid, js=range(1, LADDER_MAX + 1))
+    return [rung.values if clip is None
+            else tuple(min(v, clip) for v in rung.values) for rung in rungs]
+
+
+def is_formal_hps(series: HpsSeries, x: GenNum) -> Verdict:
     """Are all sampled hyperfinite block sums moderate?
 
-    Blocks are taken between consecutive rungs of the sigma-power ladder,
-    plus the block from 0 to the top rung (clipped to the table end for
-    table-backed families).
+    Blocks are taken between consecutive rungs of the sigma-power ladder
+    (:func:`_ladder_tops`), plus the block from 0 to the top rung.  Each
+    block is judged as soon as it is summed: its sums must be moderate, and
+    a block whose sum runs out of terms or past the abort size fails when
+    its terms grow (or their peak is not moderate), inconclusive otherwise.
     """
     grid = series.grid
-    rungs = sigma_ladder(series.sigma, grid, js=range(1, LADDER_MAX + 1))
-    clip = series.coeffs.n_max
     sum_at = _summation(series, x)
-
-    def clipped(rung):
-        if clip is None:
-            return rung.values
-        return tuple(min(v, clip) for v in rung.values)
-
-    bounds = [tuple(0 for _ in grid.points)] + [clipped(r) for r in rungs]
-    pairs = []
-    for low, high in zip(bounds, bounds[1:]):
-        pairs.append((low, high))
-    pairs.append((bounds[0], bounds[-1]))
-    block_results = []
-    for low, high in pairs:
-        values = []
-        statuses = []
-        peaks = []
-        for i in range(len(grid)):
-            lo, hi = low[i], high[i]
-            if lo > hi:
-                lo = hi
-            value, _, status, peak = sum_at(i, lo, hi, budget)
-            values.append(value)
-            statuses.append(status)
-            peaks.append(peak)
-        block_results.append((low, high, values, statuses, peaks))
+    bounds = [(0,) * len(grid)] + _ladder_tops(series)
+    blocks = list(zip(bounds, bounds[1:])) + [(bounds[0], bounds[-1])]
     results = {}
-    for idx, (low, high, values, statuses, peaks) in enumerate(block_results):
+    for idx, (low, high) in enumerate(blocks):
+        values, _, statuses, peaks = zip(*(
+            sum_at(i, min(low[i], high[i]), high[i], N_CAP)
+            for i in range(len(grid))))
         name = "block_%d" % idx
-        if any(s not in ("complete", "stopped") for s in statuses):
-            peak_net = GenNum(values=tuple(peaks), grid=grid)
-            peak_mod = is_moderate(peak_net, series.rho, grid, MODERATE_N_MAX)
-            decisive = any(s in ("growing-budget", "oversized-consistent")
-                           for s in statuses)
-            if decisive or peak_mod.failed:
-                results[name] = Verdict(
-                    FAIL,
-                    counterexample={"block": idx,
-                                    "peak_valuations":
-                                        [decimal_str(v, 64) for v in
-                                         valuation(peak_net, series.rho, grid)]},
-                    notes="block terms grow without a moderate bound")
-            else:
-                results[name] = Verdict(INCONCLUSIVE,
-                                        notes="budget exhausted inside block")
+        if all(s in ("complete", "stopped") for s in statuses):
+            results[name] = is_moderate(GenNum(values=values, grid=grid),
+                                        series.rho, grid, MODERATE_N_MAX)
             continue
-        block_net = GenNum(values=tuple(values), grid=grid)
-        results[name] = is_moderate(block_net, series.rho, grid, MODERATE_N_MAX)
+        peak_net = GenNum(values=peaks, grid=grid)
+        peak_mod = is_moderate(peak_net, series.rho, grid, MODERATE_N_MAX)
+        decisive = any(s in ("growing-budget", "oversized-consistent")
+                       for s in statuses)
+        if decisive or peak_mod.failed:
+            results[name] = Verdict(
+                FAIL,
+                counterexample={"block": idx,
+                                "peak_valuations":
+                                    [decimal_str(v, 64) for v in
+                                     valuation(peak_net, series.rho, grid)]},
+                notes="block terms grow without a moderate bound")
+        else:
+            results[name] = Verdict(INCONCLUSIVE,
+                                    notes="budget exhausted inside block")
     return combine_verdicts(results)
 
 
 def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
-                            q_target: int = 6,
-                            n_cap: int = 10 ** 6) -> Verdict:
+                            q_target: int = 6) -> Verdict:
     """Moderateness of the first k_max derived series at x."""
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
@@ -983,14 +982,13 @@ def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
     for k in range(1, k_max + 1):
         derived = replace(series,
                           coeffs=derived_coefficients(series.coeffs, k))
-        report = _series_limit_report(derived, x, q_target, n_cap)
-        bad = [i for i, (_, status, _) in enumerate(report) if status != "converged"]
-        if bad:
+        try:
+            net = series_limit(derived, x, q_target)
+        except DivergentSeriesError as exc:
             parts["k_%d" % k] = Verdict(
-                FAIL, counterexample={"grid_indices": bad},
+                FAIL, counterexample={"grid_indices": list(exc.cells)},
                 notes="derived series has no convergent tail at these points")
             continue
-        net = GenNum(values=tuple(v for v, _, _ in report), grid=series.grid)
         parts["k_%d" % k] = is_moderate(net, series.rho, series.grid,
                                         MODERATE_N_MAX)
     return combine_verdicts(parts)
@@ -1009,24 +1007,18 @@ class ConvergenceReport:
     radius_estimate: Optional[RadiusEstimate] = None
 
 
-@dataclass(frozen=True)
-class ConvergeOpts:
-    margin: int = 6           # strict-gap exponent for |x-c| < r
-    q_close: int = 6          # closeness of ladder sums to the limit
-    q_target: int = 8         # tail-control target inside series_limit
-    k_max: int = 3
-    n_cap: int = 10 ** 6
-    window: Tuple[int, int] = RADIUS_WINDOW
-
-
 def converges_at(series: HpsSeries, x: GenNum,
-                 opts: ConvergeOpts = ConvergeOpts()) -> ConvergenceReport:
-    """Run the four membership conditions at x and report each verdict."""
+                 q_target: int = Q_TARGET) -> ConvergenceReport:
+    """Run the four membership conditions at x and report each verdict:
+    a ``rho^MARGIN`` gap below the radius, moderate block sums
+    (:func:`is_formal_hps`), a moderate limit to ``rho^q_target`` tails that
+    the ladder sums approach within ``rho^Q_CLOSE``, and moderate derived
+    series of orders 1..K_MAX.  ``q_target`` is the one setting."""
     grid = series.grid
     bits = grid.precision
     rho_values = series.rho.values_on(grid)
     rad = radius(series.coeffs, series.rho, grid,
-                 window=table_window(series.coeffs, opts.window))
+                 window=table_window(series.coeffs, RADIUS_WINDOW))
 
     ys = _offsets(series, x)
     cond_radius = None
@@ -1036,24 +1028,23 @@ def converges_at(series: HpsSeries, x: GenNum,
             if mpmath.isinf(r_i):
                 continue
             gap = r_i - abs(as_mpf(ys[i], bits))
-            if not gap >= rho_values[i] ** opts.margin:
+            if not gap >= rho_values[i] ** MARGIN:
                 cond_radius = Verdict(
                     FAIL,
                     counterexample={"grid_index": i,
                                     "radius": decimal_str(r_i, bits),
                                     "offset": decimal_str(abs(as_mpf(ys[i], bits)), bits)},
-                    notes="no rho^%d gap below the radius" % opts.margin)
+                    notes="no rho^%d gap below the radius" % MARGIN)
                 break
     if cond_radius is None:
-        cond_radius = Verdict(PASS, witness={"margin_exponent": opts.margin})
+        cond_radius = Verdict(PASS, witness={"margin_exponent": MARGIN})
 
-    cond_formal = is_formal_hps(series, x, budget=opts.n_cap)
+    cond_formal = is_formal_hps(series, x)
 
-    cond_limit, limit_net = _limit_condition(series, x, opts, rho_values)
+    cond_limit, limit_net = _limit_condition(series, x, q_target, rho_values)
 
-    cond_derivs = derivative_net_moderate(series, x, k_max=opts.k_max,
-                                          q_target=opts.q_target,
-                                          n_cap=opts.n_cap)
+    cond_derivs = derivative_net_moderate(series, x, k_max=K_MAX,
+                                          q_target=q_target)
 
     overall = combine_verdicts({"radius": cond_radius, "formal": cond_formal,
                                 "limit": cond_limit, "derivatives": cond_derivs})
@@ -1063,10 +1054,11 @@ def converges_at(series: HpsSeries, x: GenNum,
                              radius_estimate=rad)
 
 
-def _limit_condition(series, x, opts, rho_values):
+def _limit_condition(series, x, q_target, rho_values):
     grid = series.grid
     bits = grid.precision
-    report = _series_limit_report(series, x, opts.q_target, opts.n_cap)
+    # the raw report, not series_limit: a failure reads the partial sums
+    report = _series_limit_report(series, x, q_target, N_CAP)
     bad = [i for i, (_, status, _) in enumerate(report) if status != "converged"]
     if bad:
         # partial evidence: a sinking-valuation prefix or a partial sum that
@@ -1104,34 +1096,30 @@ def _limit_condition(series, x, opts, rho_values):
                           notes="limit net is not moderate: " + moderate.notes) \
             if moderate.failed else Verdict(INCONCLUSIVE, notes=moderate.notes)
         return verdict, limit_net
-    rungs = sigma_ladder(series.sigma, grid, js=range(1, LADDER_MAX + 1))
-    clip = series.coeffs.n_max
     sum_at = _summation(series, x)
-    for rung in rungs:
+    for j, tops in enumerate(_ladder_tops(series), 1):
         for i in grid.tail:
-            top = rung.values[i] if clip is None else min(rung.values[i], clip)
-            value, _, status, _ = sum_at(i, 0, top, opts.n_cap)
+            value, _, status, _ = sum_at(i, 0, tops[i], N_CAP)
             if status not in ("complete", "stopped"):
                 return Verdict(
                     FAIL,
-                    counterexample={"grid_index": i, "rung": rung.sigma_witness},
+                    counterexample={"grid_index": i, "rung": j},
                     notes="hyperfinite sum exceeds the budget while "
                           "growing"), limit_net
             # cell by cell, so that a failure skips the dearer later sums
             limit = limit_net.values[i]
             gap = num_sub(max(value, limit), min(value, limit),
                           bits + GUARD_BITS)  # |value - limit|
-            if tail_exceeds({i: gap}, rho_values, (i,), opts.q_close,
+            if tail_exceeds({i: gap}, rho_values, (i,), Q_CLOSE,
                             bits) is not None:
                 return Verdict(
                     FAIL,
-                    counterexample={"grid_index": i,
-                                    "rung": rung.sigma_witness,
+                    counterexample={"grid_index": i, "rung": j,
                                     "gap": decimal_str(gap, 64)},
                     notes="hyperfinite sums do not approach the "
                           "epsilon-wise limit"), limit_net
     return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],
-                                  "q_close": opts.q_close}), limit_net
+                                  "q_close": Q_CLOSE}), limit_net
 
 
 # ---------------------------------------------------------------------------
@@ -1257,8 +1245,7 @@ def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum) -> Verdict:
                              as_mpf(bound_report.r_bound.values[i], bits))
                          for i, column in enumerate(head))
     big_k = GenNum(values=k_values, grid=grid)
-    limit_net = series_limit(series, x, q_target=ConvergeOpts.q_target,
-                             n_cap=ConvergeOpts.n_cap)
+    limit_net = series_limit(series, x, q_target=Q_TARGET)
     moderate = is_moderate(limit_net, series.rho, grid, MODERATE_N_MAX)
     if moderate.passed:
         return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],

@@ -163,6 +163,8 @@ _EXIT_CASES = [
     (("algebra", "derive", "--series", "exponential", "--n-max", "16"), 0),
     (("graf", "--net", "exp", "--n-max", "72"), 0),
     (("algebra", "recenter", "--series", "geometric", "--x", "1/4"), 0),
+    # depth 4 * --n-max is too shallow here; the doubled depths reach it
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/2"), 0),
 ]
 
 
@@ -185,8 +187,9 @@ _ERROR_CASES = [
     (("algebra", "div", "--series", "geometric", "--series2", "zero-class",
       "--n-max", "8"), ""),
     # no flag sets recenter's m_max, so the advice names --n-max
-    (("algebra", "recenter", "--series", "geometric", "--x", "1/4",
-      "--n-max", "4"), "; raise --n-max (recenter sums to 4 * --n-max)"),
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/2",
+      "--n-max", "1"),
+     "; raise --n-max (recenter sums to at most 64 * --n-max)"),
     (("algebra", "reverse", "--series", "geometric", "--n-max", "0"), ""),
 ]
 
@@ -327,6 +330,54 @@ def test_algebra_report_hash(argv, expected, capsys):
     assert main(["algebra"] + argv.split()) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["report_hash"] == "sha256:" + expected
+
+
+#: argv, exit code and report hash of ``converge`` commands: passes, a
+#: radius failure, and a limit failure decided on partial evidence.
+_CONVERGE_HASHES = [
+    ("--series geometric --x 1/2 --precision 128", 0,
+     "743e953d3b587141070303213db13792eb1cd61fe5e352b6bca5b05bd55d8ed6"),
+    ("--series doubling --x rho --precision 128", 0,
+     "205eaa89e3722d23c6d79f5b4cd9b94a3dd5d3eefaaaae9ef8dbb88b848684d4"),
+    ("--series zero-class --x rho --precision 512", 0,
+     "3b4fa9af8c7ba1c3e6ab5c72a8b87a7c9cf92a8acf5e3f145936088054e503d5"),
+    ("--series rho*2^n --x rho^(-1) --precision 512", 2,
+     "926fc2bc9f7a4e55745263dd88e6139d368cfb21c4191339d1900a09538b1746"),
+    ("--series exponential --x rho^(-1) --precision 256", 2,
+     "33cae0018ab5362f0b77a0531da35e22d46f632edcb22ffc9c2ae6ab940ec537"),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", _CONVERGE_HASHES,
+                         ids=[c[0] for c in _CONVERGE_HASHES])
+def test_converge_report_hash(argv, code, expected, capsys):
+    from hyperseries.cli import main
+    assert main(["converge"] + argv.split()) == code
+    body = json.loads(capsys.readouterr().out)
+    assert body["report_hash"] == "sha256:" + expected
+
+
+def _documented_flags():
+    """Every ``--flag`` in README's "Command line" section and in docs/."""
+    import re
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    texts = [section] + [path.read_text()
+                         for path in sorted((root / "docs").glob("*.md"))]
+    return {flag for text in texts
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)}
+
+
+def test_documented_flags_exist():
+    from hyperseries.cli import build_parser
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if action.choices and "converge" in action.choices)
+    accepted = {flag for command in subparsers.choices.values()
+                for flag in command._option_string_actions}
+    flags = _documented_flags()
+    assert flags and flags <= accepted, sorted(flags - accepted)
 
 
 @pytest.mark.slow
