@@ -25,7 +25,7 @@ families = [
 
 for label, fam in families:
     estimate = radius(fam, rho, grid, window=(16, 256))
-    classes = classify_radius(estimate, rho, grid, p_max=8)
+    classes = classify_radius(estimate, rho, grid)
     print("%-16s r head = %-12s  method = %-19s classes = %s"
           % (label, mpmath.nstr(estimate.r.values[0], 8),
              estimate.methods[0], sorted(set(classes.classes))))

@@ -14,7 +14,7 @@ growth test for analytic behaviour, exercised on canonical examples up
 to a mollifier-based Dirac delta.
 """
 
-from .nets import (ConfigError, EpsGrid, ExtGenNum, Gauge, GenNum, HyperNat,
+from .nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
                    InvalidGaugeError, NotHypernaturalError, Verdict, ext_eq,
                    gauge_le_star, hypernat_from_expr, is_moderate,
                    is_negligible, valuation)

@@ -41,10 +41,9 @@ class SuiteEnv:
     _delta: Optional[tuple] = None
 
     @classmethod
-    def standard(cls, precision: int = 256, seed: int = 0) -> "SuiteEnv":
-        grid = corpus.default_grid(precision=precision)
+    def standard(cls) -> "SuiteEnv":
         rho, sigma = corpus.standard_gauges()
-        return cls(grid=grid, rho=rho, sigma=sigma, seed=seed)
+        return cls(grid=corpus.default_grid(), rho=rho, sigma=sigma)
 
     @property
     def zero(self) -> GenNum:
@@ -152,7 +151,7 @@ def criterion_03_radius_values(env: SuiteEnv) -> CheckResult:
     r_twos = radius(corpus.doubling_coeffs(), rho, grid)
     twos_exact = all(v == mpf("0.5") for v in r_twos.r.values)
     r_exp = radius(corpus.exponential_coeffs(), rho, grid)
-    exp_class = classify_radius(r_exp, rho, grid, p_max=8)
+    exp_class = classify_radius(r_exp, rho, grid)
     exp_beyond = exp_class.all_beyond_tested_powers
     r_zero = radius(corpus.zero_class_coeffs(), rho, grid, window=(16, 256))
     with working_precision(bits + 16):
@@ -233,8 +232,7 @@ def criterion_05_division(env: SuiteEnv) -> CheckResult:
         a, b = corpus.random_division_pair(rng, n_max)
         d = algebra.reciprocal_div(a, b, n_max, grid, rho)
         back = algebra.cauchy_product(d, b, n_max, grid, rho)
-        verdict = check_strong_eq(back, a, rho, grid, n_max=n_max,
-                                  q_max=4, r_max=4)
+        verdict = check_strong_eq(back, a, rho, grid, n_max=n_max)
         round_trips.append(verdict.status)
         all_pass = all_pass and verdict.passed
     ok = ones_exact and all_pass
@@ -579,13 +577,12 @@ CRITERIA: Dict[str, Callable[[SuiteEnv], CheckResult]] = {
 }
 
 
-def run_suite(env: Optional[SuiteEnv] = None, seed: int = 0,
+def run_suite(env: SuiteEnv,
               echo: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
     """Every criterion in order.  A criterion that raises a ``ConfigError``
     (say, a table too short at this precision) is recorded as inconclusive
     with the error in its details, and the suite goes on; any other
     exception ends the suite."""
-    env = env or SuiteEnv.standard(seed=seed)
     results = []
     for name, check in CRITERIA.items():
         try:

@@ -47,6 +47,8 @@ class InsufficientDepthError(Exception):
 DEFAULT_DEPTH = 258
 #: Largest estimated recentering tail, relative to the computed entry.
 RECENTER_TAIL_TOL = "1e-30"
+#: div and reverse need |b_0| (|a_1|) >= rho^m on the tail, m <= this.
+INVERTIBLE_M_MAX = 8
 
 
 def _map_columns(op, grid, rho, n_max, label, *operands):
@@ -123,26 +125,26 @@ def cauchy_product(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
                         a, b)
 
 
-def _require_invertible(family, name, n, grid, rho, m_max):
+def _require_invertible(family, name, n, grid, rho):
     """Raise unless entry n of ``family`` is at least rho^m in absolute value
-    on the tail, for one m <= m_max."""
+    on the tail, for one m <= INVERTIBLE_M_MAX."""
     bits = grid.precision
     rho_values = rho.values_on(grid)
     values = point_values(coeff_rows(family, grid, rho, n)[n], len(grid))
     with working_precision(bits):
-        for m in range(m_max + 1):
+        for m in range(INVERTIBLE_M_MAX + 1):
             if all(abs(as_mpf(values[i], bits)) >= rho_values[i] ** m
                    for i in grid.tail):
                 return
     raise NotInvertibleError("%s_%d admits no lower bound rho^m with m <= %d "
-                             "on the tail" % (name, n, m_max))
+                             "on the tail" % (name, n, INVERTIBLE_M_MAX))
 
 
 def reciprocal_div(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
-                   grid: EpsGrid, rho: Gauge, m_max: int = 8) -> HpsCoefficients:
+                   grid: EpsGrid, rho: Gauge) -> HpsCoefficients:
     """Coefficients of a/b via the triangular recursion d_0 = a_0/b_0,
     d_n = (a_n - sum b_l d_(n-l)) / b_0."""
-    _require_invertible(b, "b", 0, grid, rho, m_max)
+    _require_invertible(b, "b", 0, grid, rho)
     bits = grid.precision
 
     def divide(u, v):
@@ -265,8 +267,8 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                         series.coeffs, shift)
 
 
-def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
-            m_max: int = 8) -> HpsCoefficients:
+def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid,
+            rho: Gauge) -> HpsCoefficients:
     """Compositional inverse g of a - a_0: compose(a - a_0, g) = identity.
 
     Solved order by order; order n of the composition is linear in g_n with
@@ -274,7 +276,7 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid, rho: Gauge,
     """
     if n_max < 1:
         raise ConfigError("reverse needs n_max >= 1")
-    _require_invertible(a, "a", 1, grid, rho, m_max)
+    _require_invertible(a, "a", 1, grid, rho)
     bits = grid.precision
 
     def invert(u):

@@ -84,16 +84,14 @@ def _cmd_negligible(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_weak_moderate(cfg, args, sink) -> List[CheckResult]:
     coeffs = _coeffs(cfg, args.series)
-    verdict = check_weak_moderate(coeffs, cfg.rho, cfg.grid, n_max=args.n_max,
-                                  q_max=args.q_max, r_max=args.r_max)
+    verdict = check_weak_moderate(coeffs, cfg.rho, cfg.grid, n_max=args.n_max)
     return [_verdict_result("weak-moderate(%s)" % args.series, verdict)]
 
 
 def _cmd_strong_eq(cfg, args, sink) -> List[CheckResult]:
     a = _coeffs(cfg, args.series)
     b = _coeffs(cfg, args.series2)
-    verdict = check_strong_eq(a, b, cfg.rho, cfg.grid, n_max=args.n_max,
-                              q_max=args.q_max, r_max=args.r_max)
+    verdict = check_strong_eq(a, b, cfg.rho, cfg.grid, n_max=args.n_max)
     return [_verdict_result("strong-eq(%s, %s)" % (args.series, args.series2),
                             verdict)]
 
@@ -122,8 +120,7 @@ def _cmd_radius(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_classify(cfg, args, sink) -> List[CheckResult]:
     estimate = _radius_with_csv(cfg, args.series, args.window, sink)
-    classification = classify_radius(estimate, cfg.rho, cfg.grid,
-                                     p_max=args.p_max)
+    classification = classify_radius(estimate, cfg.rho, cfg.grid)
     details = {"classes": list(classification.classes),
                "P_m": classification.p_m,
                "subsets": {str(p): list(v)
@@ -167,7 +164,7 @@ def _cmd_converge(cfg, args, sink) -> List[CheckResult]:
 def _cmd_bounded(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
     x = _point(cfg, args.x)
-    report = eventually_bounded(series, x, n_max=args.n_max)
+    report = eventually_bounded(series, x)
     extra = {"N_start": report.n_start}
     if report.r_bound is not None:
         extra["R"] = report.r_bound.describe()
@@ -211,7 +208,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
                                      args.n_max, grid, rho)
     elif op == "div":
         out = algebra.reciprocal_div(a, _coeffs(cfg, args.series2),
-                                     args.n_max, grid, rho, m_max=args.m_max)
+                                     args.n_max, grid, rho)
     elif op == "compose":
         out = algebra.compose(a, _coeffs(cfg, args.series2), args.n_max,
                               grid, rho)
@@ -226,7 +223,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
         rho = series.rho  # the recentered family is relative to this gauge
         out = _recenter(series, _point(cfg, args.x), args.n_max)
     else:
-        out = algebra.reverse(a, args.n_max, grid, rho, m_max=args.m_max)
+        out = algebra.reverse(a, args.n_max, grid, rho)
     depth = min(out.bound_or(args.n_max), args.n_max)
     if sink:
         rows = coefficients_csv_rows(out, grid, rho, depth)
@@ -326,15 +323,11 @@ def build_parser() -> _Parser:
     p = command("weak-moderate", _cmd_weak_moderate)
     p.add_argument("--series", required=True)
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--q-max", type=int, default=8)
-    p.add_argument("--r-max", type=int, default=8)
 
     p = command("strong-eq", _cmd_strong_eq)
     p.add_argument("--series", required=True)
     p.add_argument("--series2", required=True)
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--q-max", type=int, default=4)
-    p.add_argument("--r-max", type=int, default=4)
 
     p = command("radius", _cmd_radius)
     p.add_argument("--series", required=True)
@@ -343,7 +336,6 @@ def build_parser() -> _Parser:
     p = command("classify", _cmd_classify)
     p.add_argument("--series", required=True)
     p.add_argument("--window", type=int, nargs=2, default=(16, 256))
-    p.add_argument("--p-max", type=int, default=8)
 
     p = command("sum", _cmd_sum)
     p.add_argument("--series", required=True)
@@ -366,7 +358,6 @@ def build_parser() -> _Parser:
     p = command("bounded", _cmd_bounded)
     p.add_argument("--series", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--n-max", type=int, default=64)
 
     p = command("algebra", _cmd_algebra)
     p.add_argument("operation", choices=_ALGEBRA_OPS)
@@ -374,8 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--series2")
     p.add_argument("--x", help="new center for recenter")
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--m-max", type=int, default=8,
-                   help="invertibility margin rho^m of div and reverse")
 
     p = command("graf", _cmd_graf)
     p.add_argument("--net", choices=("exp", "delta"),

@@ -80,8 +80,7 @@ class RunConfig:
         if coeff_spec is None and "coeffs_csv" in spec:
             from .report import read_coefficients_csv
             try:
-                coeffs = read_coefficients_csv(spec["coeffs_csv"],
-                                               self.grid.precision)
+                coeffs = read_coefficients_csv(spec["coeffs_csv"], self.grid)
             except (OSError, ValueError) as exc:
                 raise ConfigError("cannot read coefficient CSV: %s" % exc)
         elif coeff_spec is None:
@@ -159,8 +158,9 @@ def load_config(path: Optional[str] = None,
             raise ConfigError("cannot read config %s: %s" % (path, exc))
         if not isinstance(raw, dict):
             raise ConfigError("config %s must hold a JSON object" % path)
-    precision = _integer(precision_override or
-                         raw.get("precision", DEFAULT_PRECISION), "precision")
+    precision = _integer(precision_override if precision_override is not None
+                         else raw.get("precision", DEFAULT_PRECISION),
+                         "precision")
     if precision < 64:
         raise ConfigError("precision must be at least 64 bits")
     tail_start = _integer(tail_start_override if tail_start_override is not None

@@ -21,10 +21,8 @@ from .nets import EpsGrid, Gauge, GenNum
 from .series import HpsCoefficients, HpsSeries, make_series
 
 
-def default_grid(precision: int = 256, tail_start: int = 1,
-                 k_min: int = 1, k_max: int = 8) -> EpsGrid:
-    return EpsGrid.decades(k_min=k_min, k_max=k_max, tail_start=tail_start,
-                           precision=precision)
+def default_grid(precision: int = 256) -> EpsGrid:
+    return EpsGrid.decades(precision=precision)
 
 
 def standard_gauges() -> Tuple[Gauge, Gauge]:
@@ -58,11 +56,9 @@ def zero_class_coeffs() -> HpsCoefficients:
     return _expr_family("zero-class")
 
 
-def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
-                 sigma: Optional[Gauge] = None) -> HpsSeries:
+def build_series(name: str, grid: EpsGrid, rho: Gauge,
+                 sigma: Gauge) -> HpsSeries:
     """One named example series, centered at zero."""
-    if rho is None or sigma is None:
-        rho, sigma = standard_gauges()
     if name == "delta":
         _, coeffs = delta_setup(grid, rho)
     elif name in EXPR_FAMILIES:
@@ -76,10 +72,8 @@ def build_series(name: str, grid: EpsGrid, rho: Optional[Gauge] = None,
 DELTA_N_MAX = 96
 
 
-def delta_setup(grid: EpsGrid, rho: Optional[Gauge] = None
-                ) -> Tuple[MollifierSpec, HpsCoefficients]:
-    if rho is None:
-        rho, _ = standard_gauges()
+def delta_setup(grid: EpsGrid,
+                rho: Gauge) -> Tuple[MollifierSpec, HpsCoefficients]:
     spec = make_mollifier(grid, rho, b_exponent=1, n_max=DELTA_N_MAX)
     return spec, delta_coeffs(spec, DELTA_N_MAX)
 

@@ -362,8 +362,11 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
     A pointwise lattice hit is rejected when the normalized derivative
     slope ``log(|f^(n)|/n!) / (n log(1/rho))`` still climbs between dyadic
     blocks of n: factorial-squared growth passes any fixed lattice bound on
-    a finite window, and only the trend betrays it.
+    a finite window, and only the trend betrays it.  So ``n_max`` must reach
+    the first dyadic block, n = 5..8.
     """
+    if n_max < 8:
+        raise ConfigError("n_max must be >= 8")
     bits = grid.precision
     rho_values = rho.values_on(grid)
     tail = list(grid.tail)
@@ -469,22 +472,22 @@ def flat_point_taylor_at_one(n_max: int) -> HpsCoefficients:
     return HpsCoefficients.from_column(column, label="flat-point-at-1")
 
 
-def flat_point_check(grid: EpsGrid, rho: Gauge, q_max: int = 4,
-                     n_max: int = 40) -> Verdict:
+def flat_point_check(grid: EpsGrid, rho: Gauge) -> Verdict:
     """Negligibility at infinitesimal arguments plus a finite-point series.
 
     The function vanishes to every gauge order at arguments of size
-    rho^(1/2), rho, rho^2 (checked from the third decade on, where the
-    exponent has cleared q_max), while the exact series at center 1
-    reproduces the value at 1.1 to 1e-10 with n_max terms.
+    rho^(1/2), rho, rho^2 (checked for q <= 4 from the third decade on,
+    where the exponent has cleared 4), while the exact series at center 1
+    reproduces the value at 1.1 to 1e-10 with the terms n <= 40.
     """
+    n_max = 40
     deep = grid.with_tail_start(min(2, len(grid) - 1))
     parts = {}
     for label, expr in (("r_half", "rho^(1/2)"), ("r_one", "rho"),
                         ("r_two", "rho^2")):
         x = GenNum.from_expr(expr, grid, rho)
         parts[label] = is_negligible(flat_point_values(x, grid), rho, deep,
-                                     q_max=q_max)
+                                     q_max=4)
     bits = grid.precision
     composed = flat_point_taylor_at_one(n_max)
     with working_precision(bits):
@@ -515,11 +518,11 @@ def nowhere_analytic_coeffs() -> HpsCoefficients:
                                      label="nowhere-analytic-lower-bound")
 
 
-def nowhere_analytic_reject(grid: EpsGrid, rho: Gauge,
-                            n_max: int = 64) -> Verdict:
-    """Pass exactly when the admissibility check rejects the growth family."""
+def nowhere_analytic_reject(grid: EpsGrid, rho: Gauge) -> Verdict:
+    """Pass exactly when the admissibility check rejects the growth family
+    on the rows n <= 64."""
     inner = check_weak_moderate(nowhere_analytic_coeffs(), rho, grid,
-                                n_max=n_max)
+                                n_max=64)
     if inner.failed:
         return Verdict(PASS, witness={"rejected": True,
                                       "detail": inner.counterexample})

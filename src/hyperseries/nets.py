@@ -175,7 +175,8 @@ class Gauge:
 
 @dataclass(frozen=True)
 class GenNum:
-    """A representative net: one finite value per grid point."""
+    """A representative net: one value per grid point, finite except where
+    the net is extended (a radius of convergence may be +-inf)."""
 
     values: Tuple[Num, ...]
     grid: EpsGrid
@@ -251,25 +252,6 @@ class GenNum:
 
 
 @dataclass(frozen=True)
-class ExtGenNum:
-    """A net of extended reals; infinities are first-class values."""
-
-    values: Tuple[mpf, ...]
-    grid: EpsGrid
-
-    def __post_init__(self):
-        if len(self.values) != len(self.grid):
-            raise ConfigError("one value per grid point required")
-
-    @classmethod
-    def from_gennum(cls, x: GenNum) -> "ExtGenNum":
-        return cls(values=x.mpf_values(), grid=x.grid)
-
-    def describe(self) -> list:
-        return [decimal_str(v, self.grid.precision) for v in self.values]
-
-
-@dataclass(frozen=True)
 class HyperNat:
     """Integer net bounded by a power of the companion gauge sigma."""
 
@@ -289,25 +271,25 @@ class HyperNat:
 # ---------------------------------------------------------------------------
 
 
-def _nondecreasing(tail_values, slack=TREND_SLACK) -> bool:
+def _nondecreasing(tail_values) -> bool:
     for a, b in zip(tail_values, tail_values[1:]):
         if mpmath.isinf(a) and a > 0:
             continue  # +inf dominates whatever follows it
         if mpmath.isinf(b) and b > 0:
             continue
-        if b < a - slack:
+        if b < a - TREND_SLACK:
             return False
     return True
 
 
-def _sinking(tail_values, drop=TREND_DROP) -> bool:
+def _sinking(tail_values) -> bool:
     """True when the exponent falls by a real margin at every tail step."""
     if len(tail_values) < 2:
         return False
     for a, b in zip(tail_values, tail_values[1:]):
         if mpmath.isinf(a) or mpmath.isinf(b):
             return False
-        if not b <= a - drop:
+        if not b <= a - TREND_DROP:
             return False
     return True
 
@@ -401,14 +383,14 @@ def is_negligible(x: GenNum, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdi
     return Verdict(INCONCLUSIVE, notes=notes)
 
 
-def ext_eq(x, y, rho: Gauge, grid: EpsGrid, q_max: int = 6) -> Verdict:
+def ext_eq(x: GenNum, y: GenNum, rho: Gauge, grid: EpsGrid,
+           q_max: int = 6) -> Verdict:
     """Equality of extended nets: negligible difference where finite,
     identical infinities on the tail otherwise."""
-    ex = x if isinstance(x, ExtGenNum) else ExtGenNum.from_gennum(x)
-    ey = y if isinstance(y, ExtGenNum) else ExtGenNum.from_gennum(y)
+    xs, ys = x.mpf_values(), y.mpf_values()
     finite_diff = []
     for i in range(len(grid)):
-        a, b = ex.values[i], ey.values[i]
+        a, b = xs[i], ys[i]
         if mpmath.isinf(a) or mpmath.isinf(b):
             if i in grid.tail and a != b:
                 return Verdict(FAIL,

@@ -99,8 +99,8 @@ class Report:
     def overall(self) -> str:
         return overall_status(self.checks)
 
-    def body(self, bits: int = 256) -> dict:
-        """Everything that is hashed; excludes timing by contract."""
+    def body(self) -> dict:
+        """Everything that is hashed (at 256 bits); excludes timing by contract."""
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
@@ -108,13 +108,13 @@ class Report:
             "config_hash": self.config_hash,
             "seed": self.seed,
             "checks": [{"name": c.name, "status": c.status,
-                        "details": jsonable(c.details, bits)}
+                        "details": jsonable(c.details)}
                        for c in self.checks],
             "overall": self.overall,
         }
 
-    def to_json(self, bits: int = 256) -> str:
-        body = self.body(bits)
+    def to_json(self) -> str:
+        body = self.body()
         body["report_hash"] = digest(body)
         body["timing"] = {"total_ms": self.timing_ms}
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
@@ -150,9 +150,10 @@ def coefficients_csv_rows(coeffs, grid, rho, n_max: int):
             for n, row in enumerate(coeff_rows(coeffs, grid, rho, n_max))]
 
 
-def read_coefficients_csv(path, bits: int = 256):
+def read_coefficients_csv(path, grid):
     """Read a coefficient table written by :func:`write_csv` back into a
-    family; integer and `p/q` cells come back exact, decimal cells as mpf."""
+    family with one value per point of ``grid``; integer and `p/q` cells
+    come back exact, decimal cells as mpf."""
     from .series import HpsCoefficients
 
     def cell(text):
@@ -165,7 +166,7 @@ def read_coefficients_csv(path, bits: int = 256):
         if text in ("inf", "-inf", "nan"):
             raise ValueError("non-finite coefficient in %s" % path)
         import mpmath
-        with mpmath.workprec(bits):
+        with mpmath.workprec(grid.precision):
             return mpf(text)
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -174,4 +175,8 @@ def read_coefficients_csv(path, bits: int = 256):
             raise ValueError("coefficient CSV must start with an 'n' column")
         rows = [tuple(cell(p) for p in line.rstrip("\n").split(",")[1:])
                 for line in handle]
+    for n, row in enumerate(rows):
+        if len(row) != len(grid):
+            raise ValueError("row n=%d of %s has %d values, the grid has %d "
+                             "points" % (n, path, len(row), len(grid)))
     return HpsCoefficients.from_column(rows, label=str(path))

@@ -59,9 +59,9 @@ import mpmath
 from mpmath import mpf
 
 from . import netexpr
-from .nets import (FAIL, INCONCLUSIVE, PASS, ConfigError, EpsGrid, ExtGenNum,
-                   Gauge, GenNum, HyperNat, Verdict, combine_verdicts,
-                   is_moderate, gauge_le_star, sigma_ladder, valuation)
+from .nets import (FAIL, INCONCLUSIVE, PASS, ConfigError, EpsGrid, Gauge,
+                   GenNum, HyperNat, Verdict, combine_verdicts, is_moderate,
+                   gauge_le_star, sigma_ladder, valuation)
 from .numerics import (GUARD_BITS, Num, as_mpf, decimal_str, is_exact,
                        leq_with_slack, num_sub, tail_exceeds, working_precision)
 
@@ -90,8 +90,14 @@ Q_TARGET = 8
 K_MAX = 3
 #: Term cap of every sum; ``series_limit`` alone takes another.
 N_CAP = 10 ** 6
-#: Exponent bound of the moderateness tests on block, limit and derived nets.
+#: Exponent bound of every moderateness test and of eventually_bounded's p.
 MODERATE_N_MAX = 8
+#: Largest (Q, R) of check_weak_moderate, (q, r) of check_strong_eq, power P
+#: of classify_radius, and summand index n of eventually_bounded.
+WEAK_Q_MAX = WEAK_R_MAX = 8
+STRONG_Q_MAX = STRONG_R_MAX = 4
+RADIUS_P_MAX = 8
+BOUND_N_MAX = 64
 #: Float log excess above which ``_first_bound`` skips a lattice point
 #: without an exact comparison.
 SCREEN_MARGIN = 1e-6
@@ -324,7 +330,7 @@ def make_series(coeffs: HpsCoefficients, center: GenNum, rho: Gauge,
                 sigma: Gauge, grid: EpsGrid) -> HpsSeries:
     """A series after its inputs are checked: the center must be moderate and
     both gauges valid on the grid."""
-    if is_moderate(center, rho, grid, n_max=8).failed:
+    if is_moderate(center, rho, grid, MODERATE_N_MAX).failed:
         raise ConfigError("series center is not moderate on the grid")
     sigma.values_on(grid)
     return HpsSeries(coeffs=coeffs, center=center, rho=rho, sigma=sigma,
@@ -491,10 +497,10 @@ def _first_bound(magnitudes, tail, rho_values, bits, lattice, factorials=None):
 
 
 def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
-                        n_max: int = 64, q_max: int = 8,
-                        r_max: int = 8) -> Verdict:
-    """Search the lexicographically smallest (Q, R) with
-    |a(n, eps)| <= rho_eps^-(n*Q+R) for all n <= n_max on the tail.
+                        n_max: int = 64) -> Verdict:
+    """Search the lexicographically smallest (Q, R), Q <= WEAK_Q_MAX and
+    R <= WEAK_R_MAX, with |a(n, eps)| <= rho_eps^-(n*Q+R) for all n <= n_max
+    on the tail.
 
     A direct hit is only accepted if the per-n exponent requirement is not
     still climbing at the window end: on a finite grid a factorial-type
@@ -516,14 +522,14 @@ def check_weak_moderate(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
                        notes="required exponent slope keeps climbing with n; "
                              "no uniform (Q, R) can hold for all n")
     found = _first_bound(magnitudes, tail, rho_values, grid.precision,
-                         ((q, r, 1, 1) for q in range(q_max + 1)
-                          for r in range(r_max + 1)))
+                         ((q, r, 1, 1) for q in range(WEAK_Q_MAX + 1)
+                          for r in range(WEAK_R_MAX + 1)))
     if found:
         return Verdict(PASS, witness={"Q": found[0], "R": found[1],
                                       "doubling_slopes": slope_strs})
     return Verdict(INCONCLUSIVE,
                    notes="no (Q, R) within (%d, %d) but exponent trend is flat"
-                         % (q_max, r_max))
+                         % (WEAK_Q_MAX, WEAK_R_MAX))
 
 
 def weak_witness(coeffs: HpsCoefficients, rho: Gauge,
@@ -540,9 +546,9 @@ def weak_witness(coeffs: HpsCoefficients, rho: Gauge,
 
 
 def check_strong_eq(a: HpsCoefficients, b: HpsCoefficients, rho: Gauge,
-                    grid: EpsGrid, n_max: int = 64, q_max: int = 4,
-                    r_max: int = 4) -> Verdict:
-    """Differences must fall below rho^(n*q+r) for every tested (q, r)."""
+                    grid: EpsGrid, n_max: int = 64) -> Verdict:
+    """Differences must fall below rho^(n*q+r) for every tested (q, r):
+    q <= STRONG_Q_MAX, r <= STRONG_R_MAX and n <= n_max."""
     tail = list(grid.tail)
     rho_values = rho.values_on(grid)
     acc_a = coeff_accessor(a, grid, rho)
@@ -564,10 +570,10 @@ def check_strong_eq(a: HpsCoefficients, b: HpsCoefficients, rho: Gauge,
                     row.append(mpmath.log(abs(as_mpf(d, bits))) / log_rho[j])
             t_rows.append(row)
     if all_zero:
-        return Verdict(PASS, witness={"q": q_max, "r": r_max,
+        return Verdict(PASS, witness={"q": STRONG_Q_MAX, "r": STRONG_R_MAX,
                                       "note": "families agree exactly"})
-    for q in range(q_max + 1):
-        for r in range(r_max + 1):
+    for q in range(STRONG_Q_MAX + 1):
+        for r in range(STRONG_R_MAX + 1):
             for n in range(n_max + 1):
                 need = n * q + r
                 for j, i in enumerate(tail):
@@ -592,7 +598,7 @@ def check_strong_eq(a: HpsCoefficients, b: HpsCoefficients, rho: Gauge,
             return Verdict(INCONCLUSIVE,
                            notes="lattice verified but per-n decay slope is "
                                  "shrinking; cannot certify all (q, r)")
-    return Verdict(PASS, witness={"q": q_max, "r": r_max})
+    return Verdict(PASS, witness={"q": STRONG_Q_MAX, "r": STRONG_R_MAX})
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +615,8 @@ class RadiusEstimate:
     records, per grid point, which estimator produced the value.
     """
 
-    r: ExtGenNum
-    limsup: ExtGenNum
+    r: GenNum
+    limsup: GenNum
     window: Tuple[int, int]
     methods: Tuple[str, ...]
 
@@ -675,8 +681,8 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
             r_vals.append(mpf("+inf") if limsup_value == 0 else 1 / limsup_value)
         methods.append(method)
     return RadiusEstimate(
-        r=ExtGenNum(values=tuple(r_vals), grid=grid),
-        limsup=ExtGenNum(values=tuple(limsup_vals), grid=grid),
+        r=GenNum(values=tuple(r_vals), grid=grid),
+        limsup=GenNum(values=tuple(limsup_vals), grid=grid),
         window=window, methods=tuple(methods))
 
 
@@ -727,35 +733,34 @@ class RadiusClassification:
     classes: Tuple[str, ...]  # each: infinite | beyond | moderate
     p_m: Optional[int]
     subsets: dict  # P -> tuple of grid indices with r <= rho^-P
-    p_max: int
 
     @property
     def all_beyond_tested_powers(self) -> bool:
         return all(c in ("infinite", "beyond") for c in self.classes)
 
 
-def classify_radius(rad: RadiusEstimate, rho: Gauge, grid: EpsGrid,
-                    p_max: int = 8) -> RadiusClassification:
+def classify_radius(rad: RadiusEstimate, rho: Gauge,
+                    grid: EpsGrid) -> RadiusClassification:
     """Bucket each grid point: infinite radius, beyond every tested power
-    of 1/rho, or moderate (below some tested power)."""
+    rho^-P (P <= RADIUS_P_MAX), or moderate (below some tested power)."""
     rho_values = rho.values_on(grid)
     values = rad.r.values
     subsets = {p: tuple(i for i in range(len(grid))
                         if tail_exceeds(values, rho_values, (i,), -p,
                                         grid.precision) is None)
-               for p in range(p_max + 1)}
+               for p in range(RADIUS_P_MAX + 1)}
     classes = ["infinite" if mpmath.isinf(value)
-               else "moderate" if i in subsets[p_max] else "beyond"
+               else "moderate" if i in subsets[RADIUS_P_MAX] else "beyond"
                for i, value in enumerate(values)]
     p_m = None
     tail = set(grid.tail)
     if any(c == "moderate" for c in classes):
-        for p in range(p_max + 1):
+        for p in range(RADIUS_P_MAX + 1):
             if tail & set(subsets[p]):
                 p_m = p
                 break
     return RadiusClassification(classes=tuple(classes), p_m=p_m,
-                                subsets=subsets, p_max=p_max)
+                                subsets=subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -973,13 +978,12 @@ def is_formal_hps(series: HpsSeries, x: GenNum) -> Verdict:
     return combine_verdicts(results)
 
 
-def derivative_net_moderate(series: HpsSeries, x: GenNum, k_max: int = 3,
-                            q_target: int = 6) -> Verdict:
-    """Moderateness of the first k_max derived series at x."""
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
+def derivative_net_moderate(series: HpsSeries, x: GenNum,
+                            q_target: int) -> Verdict:
+    """Moderateness of the derived series of orders 1..K_MAX at x, each
+    limit taken to rho^q_target tails."""
     parts = {}
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         derived = replace(series,
                           coeffs=derived_coefficients(series.coeffs, k))
         try:
@@ -1043,8 +1047,7 @@ def converges_at(series: HpsSeries, x: GenNum,
 
     cond_limit, limit_net = _limit_condition(series, x, q_target, rho_values)
 
-    cond_derivs = derivative_net_moderate(series, x, k_max=K_MAX,
-                                          q_target=q_target)
+    cond_derivs = derivative_net_moderate(series, x, q_target)
 
     overall = combine_verdicts({"radius": cond_radius, "formal": cond_formal,
                                 "limit": cond_limit, "derivatives": cond_derivs})
@@ -1154,24 +1157,22 @@ def _term_magnitudes(series: HpsSeries, x: GenNum, n_max: int):
     return terms
 
 
-def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
-                       p_max: int = 8) -> EventualBoundReport:
+def eventually_bounded(series: HpsSeries, x: GenNum) -> EventualBoundReport:
     """Uniform moderate bound on the summands from some index on.
 
     Searches the smallest ``n_start`` admitting a bound of the shape
-    ``kappa * rho^-p`` for all later summands on the tail.
+    ``kappa * rho^-p``, p <= MODERATE_N_MAX, for all later summands
+    n <= BOUND_N_MAX on the tail.
     """
-    if n_max < 8:
-        raise ConfigError("n_max must be >= 8")
     grid = series.grid
     bits = grid.precision
     rho_values = series.rho.values_on(grid)
-    terms = _term_magnitudes(series, x, n_max)
+    terms = _term_magnitudes(series, x, BOUND_N_MAX)
     tail = list(grid.tail)
     with working_precision(bits + GUARD_BITS):
-        for n_start in range(n_max // 2 + 1):
+        for n_start in range(BOUND_N_MAX // 2 + 1):
             peak = {i: max(terms[i][n_start:]) for i in tail}
-            for p in range(p_max + 1):
+            for p in range(MODERATE_N_MAX + 1):
                 for kappa in (1, 2, 4, 8, 16):
                     if all(peak[i] < kappa * rho_values[i] ** -p for i in tail):
                         bound = GenNum(
@@ -1187,7 +1188,7 @@ def eventually_bounded(series: HpsSeries, x: GenNum, n_max: int = 64,
     # no witness: the smallest conceivable bound is the term maximum itself;
     # if even that net fails moderateness, no moderate bound can exist
     peak_net = GenNum(values=tuple(max(column) for column in terms), grid=grid)
-    peak_mod = is_moderate(peak_net, series.rho, grid, p_max)
+    peak_mod = is_moderate(peak_net, series.rho, grid, MODERATE_N_MAX)
     if peak_mod.failed:
         verdict = Verdict(FAIL,
                           counterexample={"peak_valuations":

@@ -117,6 +117,27 @@ class TestConfig:
         assert all(isinstance(row, Fraction)
                    for row in cfg.series("shared").coeffs.rows)
 
+    @pytest.mark.parametrize("table,text", [
+        ("n,eps_0\n0\n", "row n=0"),
+        # three columns on the eight-point grid, cells not all equal
+        ("n,a,b,c\n0,1,2,3\n1,1,1,1\n", "has 3 values, the grid has 8"),
+    ], ids=["no-values", "three-columns"])
+    def test_coefficient_csv_narrower_than_grid(self, table, text, tmp_path,
+                                                capsys):
+        from hyperseries.cli import main
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text(table)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"series": {"s": {"coeffs_csv": str(csv_path)}}}))
+        assert main(["radius", "--series", "s",
+                     "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert text in lines[0]
+
 
 class TestReport:
     def test_overall_status(self):
@@ -191,6 +212,11 @@ _ERROR_CASES = [
       "--n-max", "1"),
      "; raise --n-max (recenter sums to at most 64 * --n-max)"),
     (("algebra", "reverse", "--series", "geometric", "--n-max", "0"), ""),
+    (("moderate", "--x", "rho", "--precision", "0"),
+     "precision must be at least 64 bits"),
+    # no dyadic block of n below 8, so no growth evidence at all
+    (("graf", "--series", "factorial(n)", "--n-max", "-1"),
+     "n_max must be >= 8"),
 ]
 
 #: Public exceptions that no subcommand can raise, with the reason.
@@ -357,6 +383,50 @@ def test_converge_report_hash(argv, code, expected, capsys):
     assert body["report_hash"] == "sha256:" + expected
 
 
+#: argv, exit code and report hash of the predicates whose search bounds
+#: are module constants.
+_PREDICATE_HASHES = [
+    ("weak-moderate --series geometric", 0,
+     "501f9e268fb1d5e7186aefccd2ab7b22dd65d428f312adc37e5ee232691daa02"),
+    ("weak-moderate --series factorial(n)", 2,
+     "60dbb5c9d54e9cd121b12f96567135f93d9de44b74e68593e4668ade62b6531a"),
+    # the note names the largest (Q, R) tried, (8, 8)
+    ("weak-moderate --series rho^(-9*n)", 3,
+     "a3b420ca441440c87962b7562b9893f28e8dfad5a46bc6089027a3e61b06fd6a"),
+    ("strong-eq --series geometric --series2 1+rho", 2,
+     "c09abf57c52392b8b2363ed6d73d92d5aa93b405ed4e1337329d8b6877979dac"),
+    ("strong-eq --series geometric --series2 1+rho^((n+1)/eps)", 0,
+     "74d7464a2563ff091e9760172de9507808a5d1a5a20ff291e690eb185c370a73"),
+    ("classify --series doubling", 0,
+     "7138553c79d593a263b30d99d334184e0e56b95f16bdf8c39eeb0b58ebf7de36"),
+    ("classify --series exponential", 0,
+     "6df711c6245ba6416e2a8a6b65ccc7df2f3d211c9b7186974d25270d2cad2696"),
+    ("classify --series zero-class", 0,
+     "fc1f77a5e077c9e69e0270ca5f3d80e293f9fcc996808372ac996220659fc5f2"),
+    ("bounded --series geometric --x 1/2", 0,
+     "c13fdc510ae38aeb1a4fa2a21b5ae35685ed70c32f796e74155507fee9060d77"),
+    ("bounded --series rho*2^n --x rho^(-1)", 3,
+     "7dc93f33da2ecf5802ed290c6c13bf3848be16b7a9e77151c7b4e92e195e03e4"),
+    ("bounded --series 2^n --x 1", 3,
+     "377a45d370ea1b637099ce026bd11e227d1cd07ee49fe71243f1fb06c73a1183"),
+    ("bounded --series delta --x rho", 0,
+     "af3bcf03c453cc47be5ab1322be9f13505e99c3edcebec3bbcec9c9d32041358"),
+    ("example flat", 0,
+     "0585a840a7589780d810fdc4bd90ac0c99d8515e04453050b2ec079a69cd0375"),
+    ("example nowhere", 0,
+     "e4278c836a2a470bbc397df55078f8fe885c7850f4ee7b46935dd779ada444db"),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", _PREDICATE_HASHES,
+                         ids=[c[0] for c in _PREDICATE_HASHES])
+def test_predicate_report_hash(argv, code, expected, capsys):
+    from hyperseries.cli import main
+    assert main(argv.split()) == code
+    body = json.loads(capsys.readouterr().out)
+    assert body["report_hash"] == "sha256:" + expected
+
+
 def _documented_flags():
     """Every ``--flag`` in README's "Command line" section and in docs/."""
     import re
@@ -370,14 +440,17 @@ def _documented_flags():
 
 
 def test_documented_flags_exist():
+    """Every documented flag is accepted, and every accepted flag but the
+    help flags is documented."""
     from hyperseries.cli import build_parser
     parser = build_parser()
     subparsers = next(action for action in parser._actions
                       if action.choices and "converge" in action.choices)
     accepted = {flag for command in subparsers.choices.values()
-                for flag in command._option_string_actions}
+                for flag in command._option_string_actions} - {"-h", "--help"}
     flags = _documented_flags()
     assert flags and flags <= accepted, sorted(flags - accepted)
+    assert accepted <= flags, sorted(accepted - flags)
 
 
 @pytest.mark.slow

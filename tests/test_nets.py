@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from hyperseries.nets import (ConfigError, EpsGrid, ExtGenNum, Gauge, GenNum,
+from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum,
                               InvalidGaugeError, NotHypernaturalError,
                               Verdict, ext_eq, gauge_le_star,
                               hypernat_from_expr, is_moderate, is_negligible,
@@ -119,15 +119,15 @@ class TestExtEq:
         assert ext_eq(x, x, rho, grid).passed
 
     def test_matching_infinities(self, grid, rho):
-        inf = ExtGenNum(values=tuple(mpf("+inf") for _ in grid.points),
-                        grid=grid)
+        inf = GenNum(values=tuple(mpf("+inf") for _ in grid.points),
+                     grid=grid)
         assert ext_eq(inf, inf, rho, grid).passed
 
     def test_opposite_infinities_fail(self, grid, rho):
-        plus = ExtGenNum(values=tuple(mpf("+inf") for _ in grid.points),
-                         grid=grid)
-        minus = ExtGenNum(values=tuple(mpf("-inf") for _ in grid.points),
-                          grid=grid)
+        plus = GenNum(values=tuple(mpf("+inf") for _ in grid.points),
+                      grid=grid)
+        minus = GenNum(values=tuple(mpf("-inf") for _ in grid.points),
+                       grid=grid)
         assert ext_eq(plus, minus, rho, grid).failed
 
     def test_negligible_difference(self, grid, rho):

@@ -243,7 +243,7 @@ class TestSeriesLimit:
 class TestDerivativeNets:
     def test_geometric_derivatives_at_half(self, grid, rho, sigma, geometric):
         half = GenNum.constant(Fraction(1, 2), grid)
-        verdict = derivative_net_moderate(geometric, half, k_max=3)
+        verdict = derivative_net_moderate(geometric, half, q_target=6)
         assert verdict.passed
         # closed form: k-th derivative value is k! / (1-x)^(k+1)
         with working_precision(grid.precision):
