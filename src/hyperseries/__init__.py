@@ -21,17 +21,15 @@ from .nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
 from .netexpr import EvalError, ParseError, eval_exact, eval_mpf, parse, to_text
 from .series import (ConvergenceReport, DivergentSeriesError,
                      EventualBoundReport, HpsCoefficients, HpsSeries,
-                     MissingWitnessError, RadiusClassification, RadiusEstimate,
-                     ShortcutPreconditionError, SummationBudgetError,
-                     ball_guarantee, check_strong_eq, check_weak_moderate,
-                     classify_radius, converge_shortcut, converges_at,
+                     RadiusClassification, RadiusEstimate,
+                     SummationBudgetError, check_strong_eq,
+                     check_weak_moderate, classify_radius, converges_at,
                      derivative_net_moderate, derived_coefficients,
                      eventually_bounded, hyperfinite_sum, is_formal_hps,
                      make_series, radius, series_limit, weak_witness)
 from .algebra import (InsufficientDepthError, NotInvertibleError, add,
-                      cauchy_product, coeff_ring_ops, compose,
-                      identity_coefficients, integrate, reciprocal_div,
-                      recenter, reverse, scalar_mul)
+                      cauchy_product, compose, identity_coefficients,
+                      integrate, reciprocal_div, recenter, reverse)
 from .graf import (DerivativeNet, GrowthWitness, InvalidMollifierError,
                    MollifierSpec, OutOfCheckableRangeError, delta_coeffs,
                    delta_derivative_net, delta_eval, flat_point_check,

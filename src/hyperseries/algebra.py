@@ -1,8 +1,8 @@
 """Closure operations on coefficient families.
 
-Scalar multiple, sum, Cauchy product, reciprocal/division, composition,
-term-wise integration, recentering and compositional reversion (derivation
-is ``series.derived_coefficients``).  Every operation is a column op run by
+Sum, Cauchy product, reciprocal/division, composition, term-wise
+integration, recentering and compositional reversion (derivation is
+``series.derived_coefficients``).  Every operation is a column op run by
 ``_map_columns``: once on the shared columns when no operand varies across
 the grid, otherwise once per grid point.  Each operation returns a fresh
 family and nothing else: a result's weak witness depends on the gauge and
@@ -21,7 +21,7 @@ from typing import Optional
 
 from mpmath import mpf
 
-from .nets import ConfigError, EpsGrid, Gauge, GenNum, is_moderate
+from .nets import ConfigError, EpsGrid, Gauge, GenNum
 from .numerics import (as_mpf, decimal_str, is_exact, num_add, num_div,
                        num_mul, num_sub, working_precision)
 from .series import (HpsCoefficients, HpsSeries, coeff_rows, converges_at,
@@ -78,31 +78,16 @@ def _map_columns(op, grid, rho, n_max, label, *operands):
     return HpsCoefficients.from_column(zip(*per_point), label=label)
 
 
-def scalar_mul(r: GenNum, a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
-               n_max: Optional[int] = None) -> HpsCoefficients:
-    """Family r * a(n, eps); the witness offset absorbs r's exponent."""
-    if not is_moderate(r, rho, grid).passed:
-        raise ConfigError("scalar factor is not moderate on the grid")
-    n_max = n_max if n_max is not None else a.bound_or(DEFAULT_DEPTH)
-    bits = grid.precision
-    return _map_columns(lambda u, factor: [num_mul(factor, v, bits) for v in u],
-                        grid, rho, n_max, "scalar*" + a.label, a, r.values)
-
-
-def _indexwise(num_op, sign, a, b, grid, rho, n_max):
-    """Entry-wise ``num_op`` of two families, to the shorter depth by default."""
+def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
+        n_max: Optional[int] = None) -> HpsCoefficients:
+    """Entry-wise sum of two families, to the shorter depth by default."""
     n_max = n_max if n_max is not None else min(a.bound_or(DEFAULT_DEPTH),
                                                 b.bound_or(DEFAULT_DEPTH))
     bits = grid.precision
-    return _map_columns(lambda u, v: [num_op(u[n], v[n], bits)
+    return _map_columns(lambda u, v: [num_add(u[n], v[n], bits)
                                       for n in range(n_max + 1)],
-                        grid, rho, n_max,
-                        "(%s)%s(%s)" % (a.label, sign, b.label), a, b)
-
-
-def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
-        n_max: Optional[int] = None) -> HpsCoefficients:
-    return _indexwise(num_add, "+", a, b, grid, rho, n_max)
+                        grid, rho, n_max, "(%s)+(%s)" % (a.label, b.label),
+                        a, b)
 
 
 def _convolve(u, v, n_max, bits):
@@ -289,13 +274,6 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid,
         return g
 
     return _map_columns(invert, grid, rho, n_max, "reverse(%s)" % a.label, a)
-
-
-def coeff_ring_ops(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid,
-                   rho: Gauge, n_max: Optional[int] = None) -> dict:
-    """Ring operations on coefficient families: index-wise sum and product."""
-    return {"sum": add(a, b, grid, rho, n_max=n_max),
-            "product": _indexwise(num_mul, ".", a, b, grid, rho, n_max)}
 
 
 def identity_coefficients(n_max: int) -> HpsCoefficients:

@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import acceptance, algebra, corpus, graf
-from .config import RunConfig, load_config
+from .config import load_config
 from .nets import (ConfigError, GenNum, InvalidGaugeError,
                    NotHypernaturalError, Verdict, hypernat_from_expr,
                    is_moderate, is_negligible, valuation)
 from .netexpr import EvalError, ParseError
 from .report import (USAGE_EXIT, CheckResult, Report, Stopwatch, jsonable,
                      write_csv, coefficients_csv_rows)
-from .series import (Q_TARGET, DivergentSeriesError, HpsCoefficients,
+from .series import (N_CAP, Q_TARGET, RADIUS_WINDOW, DivergentSeriesError,
                      SummationBudgetError, check_strong_eq,
                      check_weak_moderate, classify_radius, converges_at,
                      derived_coefficients, eventually_bounded,
@@ -52,21 +52,13 @@ def _verdict_result(name: str, verdict: Verdict, extra: Optional[dict] = None) -
     return CheckResult(name=name, status=verdict.status, details=details)
 
 
-def _point(cfg: RunConfig, text: str) -> GenNum:
-    return cfg.point(text)
-
-
-def _coeffs(cfg: RunConfig, text: str) -> HpsCoefficients:
-    return cfg.series(text).coeffs
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns a list of CheckResults
 # ---------------------------------------------------------------------------
 
 
 def _cmd_moderate(cfg, args, sink) -> List[CheckResult]:
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     verdict = is_moderate(x, cfg.rho, cfg.grid, n_max=args.n_max)
     if sink:
         curve = valuation(x, cfg.rho, cfg.grid)
@@ -77,27 +69,27 @@ def _cmd_moderate(cfg, args, sink) -> List[CheckResult]:
 
 
 def _cmd_negligible(cfg, args, sink) -> List[CheckResult]:
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     verdict = is_negligible(x, cfg.rho, cfg.grid, q_max=args.q_max)
     return [_verdict_result("negligible(%s)" % args.x, verdict)]
 
 
 def _cmd_weak_moderate(cfg, args, sink) -> List[CheckResult]:
-    coeffs = _coeffs(cfg, args.series)
+    coeffs = cfg.series(args.series).coeffs
     verdict = check_weak_moderate(coeffs, cfg.rho, cfg.grid, n_max=args.n_max)
     return [_verdict_result("weak-moderate(%s)" % args.series, verdict)]
 
 
 def _cmd_strong_eq(cfg, args, sink) -> List[CheckResult]:
-    a = _coeffs(cfg, args.series)
-    b = _coeffs(cfg, args.series2)
+    a = cfg.series(args.series).coeffs
+    b = cfg.series(args.series2).coeffs
     verdict = check_strong_eq(a, b, cfg.rho, cfg.grid, n_max=args.n_max)
     return [_verdict_result("strong-eq(%s, %s)" % (args.series, args.series2),
                             verdict)]
 
 
 def _radius_with_csv(cfg, series_name, window, sink):
-    coeffs = _coeffs(cfg, series_name)
+    coeffs = cfg.series(series_name).coeffs
     estimate = radius(coeffs, cfg.rho, cfg.grid,
                       window=table_window(coeffs, window))
     if sink:
@@ -131,7 +123,7 @@ def _cmd_classify(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_sum(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     upper = hypernat_from_expr(args.upper, series.sigma, cfg.grid)
     value = hyperfinite_sum(series, x, upper)
     return [CheckResult(name="sum(%s at %s)" % (args.series, args.x),
@@ -143,7 +135,7 @@ def _cmd_sum(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_limit(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     value = series_limit(series, x, q_target=args.q_target, n_cap=args.n_cap)
     return [CheckResult(name="limit(%s at %s)" % (args.series, args.x),
                         status="pass", details={"values": value.describe()})]
@@ -151,7 +143,7 @@ def _cmd_limit(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_converge(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     report = converges_at(series, x, q_target=args.q_target)
     details = {"radius": report.cond_radius, "formal": report.cond_formal,
                "limit": report.cond_limit, "derivatives": report.cond_derivs}
@@ -163,7 +155,7 @@ def _cmd_converge(cfg, args, sink) -> List[CheckResult]:
 
 def _cmd_bounded(cfg, args, sink) -> List[CheckResult]:
     series = cfg.series(args.series)
-    x = _point(cfg, args.x)
+    x = cfg.point(args.x)
     report = eventually_bounded(series, x)
     extra = {"N_start": report.n_start}
     if report.r_bound is not None:
@@ -196,22 +188,20 @@ def _recenter(series, center: GenNum, n_max: int):
 
 def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
     grid, rho = cfg.grid, cfg.rho
-    a = _coeffs(cfg, args.series)
+    a = cfg.series(args.series).coeffs
     op = args.operation
-    if op in ("add", "mul", "div", "compose") and not args.series2:
+    binary = op in ("add", "mul", "div", "compose")
+    if binary and not args.series2:
         raise ConfigError("algebra %s needs --series2" % op)
+    b = cfg.series(args.series2).coeffs if binary else None
     if op == "add":
-        out = algebra.add(a, _coeffs(cfg, args.series2), grid, rho,
-                          n_max=args.n_max)
+        out = algebra.add(a, b, grid, rho, n_max=args.n_max)
     elif op == "mul":
-        out = algebra.cauchy_product(a, _coeffs(cfg, args.series2),
-                                     args.n_max, grid, rho)
+        out = algebra.cauchy_product(a, b, args.n_max, grid, rho)
     elif op == "div":
-        out = algebra.reciprocal_div(a, _coeffs(cfg, args.series2),
-                                     args.n_max, grid, rho)
+        out = algebra.reciprocal_div(a, b, args.n_max, grid, rho)
     elif op == "compose":
-        out = algebra.compose(a, _coeffs(cfg, args.series2), args.n_max,
-                              grid, rho)
+        out = algebra.compose(a, b, args.n_max, grid, rho)
     elif op == "derive":
         out = derived_coefficients(a, 1)
     elif op == "integrate":
@@ -221,7 +211,7 @@ def _cmd_algebra(cfg, args, sink) -> List[CheckResult]:
             raise ConfigError("algebra recenter needs --x (the new center)")
         series = cfg.series(args.series)
         rho = series.rho  # the recentered family is relative to this gauge
-        out = _recenter(series, _point(cfg, args.x), args.n_max)
+        out = _recenter(series, cfg.point(args.x), args.n_max)
     else:
         out = algebra.reverse(a, args.n_max, grid, rho)
     depth = min(out.bound_or(args.n_max), args.n_max)
@@ -331,11 +321,11 @@ def build_parser() -> _Parser:
 
     p = command("radius", _cmd_radius)
     p.add_argument("--series", required=True)
-    p.add_argument("--window", type=int, nargs=2, default=(16, 256))
+    p.add_argument("--window", type=int, nargs=2, default=RADIUS_WINDOW)
 
     p = command("classify", _cmd_classify)
     p.add_argument("--series", required=True)
-    p.add_argument("--window", type=int, nargs=2, default=(16, 256))
+    p.add_argument("--window", type=int, nargs=2, default=RADIUS_WINDOW)
 
     p = command("sum", _cmd_sum)
     p.add_argument("--series", required=True)
@@ -348,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--series", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--q-target", type=int, default=6)
-    p.add_argument("--n-cap", type=int, default=10 ** 6)
+    p.add_argument("--n-cap", type=int, default=N_CAP)
 
     p = command("converge", _cmd_converge)
     p.add_argument("--series", required=True)

@@ -334,12 +334,11 @@ class GrowthWitness:
     ``inv_r_exponent`` estimates the gauge exponent of 1/R: near zero the
     net behaves like a classically analytic family (finite constants); a
     positive exponent marks a genuinely infinite growth constant, as for
-    the delta embedding where 1/R tracks b.
+    the delta embedding where 1/R tracks b.  A passing verdict's witness
+    ``(q, p, lambda, kappa)`` fixes the bound: C = kappa / rho^p and
+    R = lambda * rho^q.
     """
 
-    s: GenNum
-    c_bound: Optional[GenNum]
-    r_bound: Optional[GenNum]
     verdict: Verdict
     inv_r_exponent: Optional[float]
 
@@ -397,8 +396,7 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
             "worst_cell": worst},
             notes="derivative growth outpaces every factorial/geometric "
                   "bound: slope keeps climbing with n")
-        return GrowthWitness(s=s, c_bound=None, r_bound=None, verdict=verdict,
-                             inv_r_exponent=None)
+        return GrowthWitness(verdict=verdict, inv_r_exponent=None)
     found = _first_bound(magnitudes, tail, rho_values, bits,
                          itertools.product(_HALF_LATTICE, _HALF_LATTICE,
                                            _SCALE_LATTICE, _KAPPA_LATTICE),
@@ -407,23 +405,15 @@ def graf_check(f: DerivativeNet, c: GenNum, s: GenNum, n_max: int,
         worst = _worst_cell(magnitudes, factorials, tail, n_max)
         verdict = Verdict(FAIL, counterexample={"worst_cell": worst},
                           notes="witness lattice exhausted")
-        return GrowthWitness(s=s, c_bound=None, r_bound=None, verdict=verdict,
-                             inv_r_exponent=None)
+        return GrowthWitness(verdict=verdict, inv_r_exponent=None)
     q, p, lam, kappa = found
     with working_precision(bits):
-        c_values = tuple(as_mpf(kappa, bits) * rho_values[i] ** as_mpf(-p, bits)
-                         for i in range(len(grid)))
-        r_values = tuple(as_mpf(lam, bits) * rho_values[i] ** as_mpf(q, bits)
-                         for i in range(len(grid)))
         exponents = [float(as_mpf(q, bits) - mpmath.log(as_mpf(lam, bits))
                            / mpmath.log(1 / rho_values[i])) for i in tail]
         inv_r = sum(exponents) / len(exponents)
     verdict = Verdict(PASS, witness={"q": q, "p": p, "lambda": lam,
                                      "kappa": kappa})
-    return GrowthWitness(s=s,
-                         c_bound=GenNum(values=c_values, grid=grid),
-                         r_bound=GenNum(values=r_values, grid=grid),
-                         verdict=verdict, inv_r_exponent=inv_r)
+    return GrowthWitness(verdict=verdict, inv_r_exponent=inv_r)
 
 
 def _worst_cell(magnitudes, factorials, tail, n_max):

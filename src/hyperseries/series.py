@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -61,7 +60,7 @@ from mpmath import mpf
 from . import netexpr
 from .nets import (FAIL, INCONCLUSIVE, PASS, ConfigError, EpsGrid, Gauge,
                    GenNum, HyperNat, Verdict, combine_verdicts, is_moderate,
-                   gauge_le_star, sigma_ladder, valuation)
+                   sigma_ladder, valuation)
 from .numerics import (GUARD_BITS, Num, as_mpf, decimal_str, is_exact,
                        leq_with_slack, num_sub, tail_exceeds, working_precision)
 
@@ -128,10 +127,6 @@ class TableExhaustedError(ConfigError):
     """A table-backed family was asked beyond its last row."""
 
 
-class MissingWitnessError(Exception):
-    """Coefficients have no weak-moderateness witness on the grid."""
-
-
 # ---------------------------------------------------------------------------
 # Coefficient families
 # ---------------------------------------------------------------------------
@@ -174,10 +169,6 @@ class HpsCoefficients:
         """Table family; each row is one shared value or a per-point tuple,
         stored as :func:`shared_row` leaves it."""
         return cls(rows=tuple(shared_row(row) for row in values), label=label)
-
-    @classmethod
-    def zeros(cls, n_max: int, label: str = "0") -> "HpsCoefficients":
-        return cls(rows=tuple(Fraction(0) for _ in range(n_max + 1)), label=label)
 
     @property
     def bounded(self) -> bool:
@@ -263,6 +254,8 @@ def coeff_rows(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge,
                n_max: int) -> Tuple:
     """Rows 0..n_max in the :attr:`HpsCoefficients.rows` form, read through
     :func:`coeff_accessor`."""
+    if n_max < 0:
+        raise ConfigError("n_max must be >= 0")
     read = coeff_accessor(coeffs, grid, rho)
     return tuple(read(n, None) for n in range(n_max + 1))
 
@@ -548,7 +541,10 @@ def weak_witness(coeffs: HpsCoefficients, rho: Gauge,
 def check_strong_eq(a: HpsCoefficients, b: HpsCoefficients, rho: Gauge,
                     grid: EpsGrid, n_max: int = 64) -> Verdict:
     """Differences must fall below rho^(n*q+r) for every tested (q, r):
-    q <= STRONG_Q_MAX, r <= STRONG_R_MAX and n <= n_max."""
+    q <= STRONG_Q_MAX, r <= STRONG_R_MAX and n <= n_max.  The shrinking-slope
+    proxy for all (q, r) starts at n = 8, so ``n_max`` must reach it."""
+    if n_max < 8:
+        raise ConfigError("n_max must be >= 8")
     tail = list(grid.tail)
     rho_values = rho.values_on(grid)
     acc_a = coeff_accessor(a, grid, rho)
@@ -652,6 +648,8 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     are unusable the windowed running maximum of ``|a_n|^(1/n)`` stands in.
     """
     n_lo, n_hi = window
+    if n_lo < 1:
+        raise ConfigError("window must start at n >= 1")
     if n_hi - n_lo < 16:
         raise ConfigError("window must span at least 16 indices")
     acc = coeff_accessor(coeffs, grid, rho)
@@ -902,6 +900,8 @@ def hyperfinite_sum(series: HpsSeries, x: GenNum, upper: HyperNat) -> GenNum:
 def _series_limit_report(series: HpsSeries, x: GenNum, q_target: int,
                          n_cap: int):
     """Per grid point (value, status, n_used) of the series limit."""
+    if q_target < 1:
+        raise ConfigError("q_target must be >= 1")
     sum_at = _summation(series, x)
     with working_precision(series.grid.precision):
         targets = [r ** q_target for r in series.rho.values_on(series.grid)]
@@ -1126,7 +1126,7 @@ def _limit_condition(series, x, q_target, rho_values):
 
 
 # ---------------------------------------------------------------------------
-# Eventual boundedness and the convergence shortcut
+# Eventual boundedness
 # ---------------------------------------------------------------------------
 
 
@@ -1201,71 +1201,3 @@ def eventually_bounded(series: HpsSeries, x: GenNum) -> EventualBoundReport:
                                verdict=Verdict(INCONCLUSIVE,
                                                notes="no tested bound holds "
                                                      "but growth is not clear"))
-
-
-class ShortcutPreconditionError(Exception):
-    """A converge_shortcut precondition failed; kind names which one."""
-
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind
-        super().__init__("%s%s" % (kind, ": " + detail if detail else ""))
-
-
-def converge_shortcut(series: HpsSeries, x: GenNum, x_bar: GenNum) -> Verdict:
-    """Membership at x from convergence plus eventual bounds at x_bar.
-
-    Inside the ball reached by a convergent, eventually bounded point, a
-    moderate epsilon-wise limit alone certifies membership; the witness
-    carries the geometric majorant ratio h = |x-c| / |x_bar-c|.
-    """
-    grid = series.grid
-    bits = grid.precision
-    reference = converges_at(series, x_bar)
-    if not reference.overall.passed:
-        raise ShortcutPreconditionError("not-convergent-at-reference")
-    bound_report = eventually_bounded(series, x_bar)
-    if not bound_report.verdict.passed:
-        raise ShortcutPreconditionError("not-eventually-bounded")
-    if not gauge_le_star(series.sigma, series.rho, grid).passed:
-        raise ShortcutPreconditionError("gauge-relation",
-                                        "sigma is not below a power of rho")
-    ys = _offsets(series, x)
-    ys_bar = _offsets(series, x_bar)
-    with working_precision(bits):
-        for i in grid.tail:
-            if not abs(as_mpf(ys[i], bits)) < abs(as_mpf(ys_bar[i], bits)):
-                raise ShortcutPreconditionError(
-                    "not-strictly-inside",
-                    "at grid index %d the strict inequality fails" % i)
-        h_values = tuple(abs(as_mpf(a, bits)) / abs(as_mpf(b, bits))
-                         for a, b in zip(ys, ys_bar))
-    h = GenNum(values=h_values, grid=grid)
-    head = _term_magnitudes(series, x_bar, bound_report.n_start)
-    with working_precision(bits):
-        k_values = tuple(max(max(column),
-                             as_mpf(bound_report.r_bound.values[i], bits))
-                         for i, column in enumerate(head))
-    big_k = GenNum(values=k_values, grid=grid)
-    limit_net = series_limit(series, x, q_target=Q_TARGET)
-    moderate = is_moderate(limit_net, series.rho, grid, MODERATE_N_MAX)
-    if moderate.passed:
-        return Verdict(PASS, witness={"moderate_N": moderate.witness["N"],
-                                      "h": h.describe(),
-                                      "K": big_k.describe()})
-    if moderate.failed:
-        return Verdict(FAIL, counterexample=moderate.counterexample,
-                       notes="limit at x is not moderate")
-    return Verdict(INCONCLUSIVE, notes=moderate.notes)
-
-
-def ball_guarantee(coeffs: HpsCoefficients, rho: Gauge,
-                   grid: EpsGrid) -> GenNum:
-    """Radius rho^Q of guaranteed eventual boundedness, from the witness."""
-    witness = weak_witness(coeffs, rho, grid)
-    if witness is None:
-        raise MissingWitnessError("no weak-moderateness witness on the grid")
-    q = witness[0]
-    rho_values = rho.values_on(grid)
-    with working_precision(grid.precision):
-        values = tuple(r ** q for r in rho_values)
-    return GenNum(values=values, grid=grid)

@@ -217,15 +217,20 @@ _ERROR_CASES = [
     # no dyadic block of n below 8, so no growth evidence at all
     (("graf", "--series", "factorial(n)", "--n-max", "-1"),
      "n_max must be >= 8"),
+    # below n = 8 the shrinking-slope proxy never runs
+    (("strong-eq", "--series", "geometric", "--series2", "doubling",
+      "--n-max", "-1"), "n_max must be >= 8"),
+    # the root curve |a_n|^(1/n) has no n = 0 entry
+    (("radius", "--series", "geometric", "--window", "0", "100"),
+     "window must start at n >= 1"),
+    (("algebra", "compose", "--series", "geometric", "--series2", "doubling",
+      "--n-max", "-1"), "n_max must be >= 0"),
+    (("algebra", "derive", "--series", "geometric", "--n-max", "-1"),
+     "n_max must be >= 0"),
+    # a tail target rho^q with q < 1 is no tail control at all
+    (("limit", "--series", "geometric", "--x", "1/2", "--q-target", "-3"),
+     "q_target must be >= 1"),
 ]
-
-#: Public exceptions that no subcommand can raise, with the reason.
-_UNREACHABLE_FROM_CLI = {
-    "ShortcutPreconditionError":
-        "only converge_shortcut raises it, and no subcommand calls it",
-    "MissingWitnessError":
-        "only ball_guarantee raises it, and no subcommand calls it",
-}
 
 #: Config documents that name a bad value, and text the error line contains.
 _BAD_CONFIGS = [
@@ -301,12 +306,7 @@ class TestErrorExits:
                                                           capsys):
         from hyperseries import cli
         rows = _documented_exit_rows()
-        exceptions = _public_exceptions()
-        assert set(_UNREACHABLE_FROM_CLI) <= set(exceptions)
-        for name, cls in sorted(exceptions.items()):
-            if name in _UNREACHABLE_FROM_CLI:
-                continue
-
+        for name, cls in sorted(_public_exceptions().items()):
             def raise_it(cfg, args, sink, exc=cls.__new__(cls)):
                 raise exc
 

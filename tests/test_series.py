@@ -14,12 +14,10 @@ from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
                               is_moderate, ext_eq)
 from hyperseries.numerics import (GUARD_BITS, as_mpf, leq_with_slack,
                                   working_precision)
-from hyperseries.series import (DivergentSeriesError,
-                                HpsCoefficients, MissingWitnessError,
-                                ShortcutPreconditionError, TableExhaustedError,
-                                _first_bound, ball_guarantee, check_strong_eq,
-                                check_weak_moderate, classify_radius,
-                                coeff_accessor, coeff_rows, converge_shortcut,
+from hyperseries.series import (DivergentSeriesError, HpsCoefficients,
+                                TableExhaustedError, _first_bound,
+                                check_strong_eq, check_weak_moderate,
+                                classify_radius, coeff_accessor, coeff_rows,
                                 converges_at, derivative_net_moderate,
                                 derived_coefficients, eventually_bounded,
                                 hyperfinite_sum, is_formal_hps, make_series,
@@ -98,6 +96,10 @@ class TestWeakModerate:
         with pytest.raises(ConfigError):
             check_weak_moderate(short, rho, grid, n_max=64)
 
+    def test_witness_offset_grows(self, grid, rho):
+        big = HpsCoefficients.from_expr("rho^(-1)")
+        assert weak_witness(big, rho, grid) == (0, 1)
+
 
 class TestStrongEq:
     def test_identical(self, grid, rho):
@@ -108,6 +110,11 @@ class TestStrongEq:
         base = corpus.geometric_coeffs()
         moved = HpsCoefficients.from_expr("1 + rho^((n+1)/eps)")
         assert check_strong_eq(base, moved, rho, grid, n_max=32).passed
+
+    def test_negligible_perturbation_to_n_48(self, grid, rho):
+        base = HpsCoefficients.from_expr("1")
+        moved = HpsCoefficients.from_expr("1 + rho^((n+1)/eps)")
+        assert check_strong_eq(base, moved, rho, grid, n_max=48).passed
 
     def test_plain_gauge_offset_fails(self, grid, rho):
         base = corpus.geometric_coeffs()
@@ -142,7 +149,8 @@ class TestRadius:
                 assert rel <= mpf("1e-30")
 
     def test_all_zero_rows(self, grid, rho):
-        estimate = radius(HpsCoefficients.zeros(300), rho, grid)
+        zeros = HpsCoefficients.from_column([Fraction(0)] * 301)
+        estimate = radius(zeros, rho, grid)
         assert all(mpmath.isinf(v) for v in estimate.r.values)
         assert set(estimate.methods) == {"all-zero"}
 
@@ -322,35 +330,6 @@ class TestEventuallyBounded:
         assert report.verdict.failed
 
 
-class TestShortcut:
-    def test_geometric_ratio(self, geometric, grid, rho):
-        half = GenNum.constant(Fraction(1, 2), grid)
-        ref = GenNum.constant(Fraction(3, 4), grid)
-        verdict = converge_shortcut(geometric, half, ref)
-        assert verdict.passed
-        # majorant ratio h = (1/2) / (3/4) = 2/3 pointwise
-        with working_precision(grid.precision):
-            assert verdict.witness["h"][0].startswith("0.666666666")
-
-    def test_strictness_enforced(self, geometric, grid):
-        ref = GenNum.constant(Fraction(3, 4), grid)
-        with pytest.raises(ShortcutPreconditionError) as err:
-            converge_shortcut(geometric, ref, ref)
-        assert err.value.kind == "not-strictly-inside"
-
-    def test_exponential_inside_log_ball(self, exponential, grid, rho):
-        ref = GenNum.from_expr("-log(rho)", grid, rho)
-        one = GenNum.constant(1, grid)
-        assert converge_shortcut(exponential, one, ref).passed
-
-    def test_monotone_nesting(self, geometric, grid):
-        ref = GenNum.constant(Fraction(3, 4), grid)
-        for inner in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-            verdict = converge_shortcut(geometric,
-                                        GenNum.constant(inner, grid), ref)
-            assert verdict.passed
-
-
 class TestSharpBoundOfSummands:
     def test_summands_moderate_where_membership_holds(self, grid, rho, sigma,
                                                       geometric, exponential):
@@ -376,43 +355,39 @@ class TestSharpBoundOfSummands:
 
 
 class TestBallGuarantee:
+    """The ball rho^Q of guaranteed eventual boundedness, with Q read from
+    :func:`weak_witness`."""
+
     def test_needs_witness(self, grid, rho):
-        with pytest.raises(MissingWitnessError):
-            ball_guarantee(HpsCoefficients.from_expr("factorial(n)"), rho, grid)
+        assert weak_witness(HpsCoefficients.from_expr("factorial(n)"), rho,
+                            grid) is None
 
     def test_short_table_needs_witness(self, grid, rho):
         table = HpsCoefficients.from_column([1, 1, 1, 1])
-        with pytest.raises(MissingWitnessError):
-            ball_guarantee(table, rho, grid)
+        assert weak_witness(table, rho, grid) is None
 
     def test_witness_follows_the_grid(self, grid, rho):
-        """A family witnessed on one grid gives the ball of another grid's
-        witness there: 2^n is (1, 0) on the decades, (3, 7) on 0.9..0.5."""
+        """A family witnessed on one grid has another grid's witness there:
+        2^n is (1, 0) on the decades, (3, 7) on 0.9..0.5."""
         doubling = corpus.doubling_coeffs()
         assert weak_witness(doubling, rho, grid) == (1, 0)
         with working_precision(grid.precision):
             points = tuple(mpf(k) / 10 for k in (9, 8, 7, 6, 5))
         coarse = EpsGrid(points=points, precision=grid.precision)
         assert weak_witness(doubling, rho, coarse) == (3, 7)
-        ball = ball_guarantee(doubling, rho, coarse)
-        with working_precision(coarse.precision):
-            assert ball.values == tuple(r ** 3 for r in rho.values_on(coarse))
 
     def test_geometric_ball_is_one(self, grid, rho, geometric):
-        ball = ball_guarantee(geometric.coeffs, rho, grid)
-        assert all(v == 1 for v in ball.values)
+        assert weak_witness(geometric.coeffs, rho, grid)[0] == 0
 
     def test_bound_holds_on_the_ball(self, grid, rho, sigma, geometric):
-        ball = ball_guarantee(geometric.coeffs, rho, grid)
-        x = GenNum(values=ball.values, grid=grid)
-        report = eventually_bounded(geometric, x)
+        q = weak_witness(geometric.coeffs, rho, grid)[0]
+        with working_precision(grid.precision):
+            ball = tuple(r ** q for r in rho.values_on(grid))
+        report = eventually_bounded(geometric, GenNum(values=ball, grid=grid))
         assert report.verdict.passed
 
     def test_delta_ball_is_drho(self, grid, rho, env):
-        series = env.series("delta")
-        ball = ball_guarantee(series.coeffs, rho, grid)
-        rho_values = rho.values_on(grid)
-        assert all(ball.values[i] == rho_values[i] for i in range(len(grid)))
+        assert weak_witness(env.series("delta").coeffs, rho, grid)[0] == 1
 
 
 class TestCoefficientRows:
