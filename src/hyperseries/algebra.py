@@ -202,6 +202,9 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
     if m_max < n_max:
         raise ConfigError("recenter needs m_max >= n_max (got %d < %d)"
                           % (m_max, n_max))
+    if m_max < 1:
+        # the tail audit reads a[m_max - 1]
+        raise ConfigError("recenter needs m_max >= 1 (got %d)" % m_max)
     if check:
         report = converges_at(series, new_center)
         if not report.overall.passed:

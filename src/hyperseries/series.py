@@ -646,33 +646,50 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
     families exactly; a clean collapse of the extrapolated ratio to zero
     marks a curve decaying to zero, i.e. an infinite radius.  When ratios
     are unusable the windowed running maximum of ``|a_n|^(1/n)`` stands in.
+
+    Cells are read on first use, once per grid point.  The ratio estimate
+    reads its nodes near ``n_hi`` and their neighbours, at most 24 cells;
+    only when it gives no value is every cell of the window read, for the
+    all-zero test and the root curve.  A family that ends before ``n_hi``
+    raises :class:`TableExhaustedError` before any read, naming the first
+    missing index of the window.
     """
     n_lo, n_hi = window
     if n_lo < 1:
         raise ConfigError("window must start at n >= 1")
     if n_hi - n_lo < 16:
         raise ConfigError("window must span at least 16 indices")
+    if coeffs.bounded and coeffs.n_max < n_hi:
+        raise TableExhaustedError(
+            "table ends at n=%d, need %d"
+            % (coeffs.n_max, max(n_lo, coeffs.n_max + 1)))
     acc = coeff_accessor(coeffs, grid, rho)
     bits = grid.precision
     r_vals, limsup_vals, methods = [], [], []
     for i in range(len(grid)):
-        with working_precision(bits):
-            absolutes = {}
-            for n in range(n_lo, n_hi + 1):
+        absolutes = {}
+
+        def absolute(n):
+            if n not in absolutes:
                 absolutes[n] = abs(as_mpf(acc(n, i), bits))
-            nonzero = [n for n in range(n_lo, n_hi + 1) if absolutes[n] != 0]
-            if not nonzero:
-                # zero rows below n_lo only would deserve a wider window; all
-                # zero within it means the curve vanishes outright
-                limsup_vals.append(mpf(0))
-                r_vals.append(mpf("+inf"))
-                methods.append("all-zero")
-                continue
-            curve = {n: absolutes[n] ** (mpf(1) / n) for n in nonzero}
-            estimate = _ratio_estimate(n_lo, n_hi, absolutes, bits)
+            return absolutes[n]
+
+        with working_precision(bits):
+            # a ratio estimate needs nonzero nodes, so it rules out all-zero
+            estimate = _ratio_estimate(n_lo, n_hi, absolute, bits)
             if estimate is not None:
                 limsup_value, method = estimate
             else:
+                nonzero = [n for n in range(n_lo, n_hi + 1)
+                           if absolute(n) != 0]
+                if not nonzero:
+                    # zero rows below n_lo only would deserve a wider window;
+                    # all zero within it means the curve vanishes outright
+                    limsup_vals.append(mpf(0))
+                    r_vals.append(mpf("+inf"))
+                    methods.append("all-zero")
+                    continue
+                curve = {n: absolutes[n] ** (mpf(1) / n) for n in nonzero}
                 limsup_value, method = _window_estimate(curve, nonzero)
         limsup_vals.append(limsup_value)
         with working_precision(bits):
@@ -684,7 +701,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
         window=window, methods=tuple(methods))
 
 
-def _ratio_estimate(n_lo, n_hi, absolutes, bits):
+def _ratio_estimate(n_lo, n_hi, absolute, bits):
     span = n_hi - n_lo
     step = max(2, span // 10)
     for stride in (1, 2):
@@ -697,9 +714,9 @@ def _ratio_estimate(n_lo, n_hi, absolutes, bits):
         if any(n < n_lo for n in nodes) or len(set(nodes)) < 6:
             continue
         # every node and node + stride lies inside the window
-        if not all(absolutes[n] for n in nodes):
+        if not all(absolute(n) for n in nodes):
             continue
-        ratios = [absolutes[n + stride] / absolutes[n] for n in nodes]
+        ratios = [absolute(n + stride) / absolute(n) for n in nodes]
         if stride == 2:
             ratios = [mpmath.sqrt(w) for w in ratios]
         ts = [mpf(1) / n for n in nodes]
@@ -902,6 +919,8 @@ def _series_limit_report(series: HpsSeries, x: GenNum, q_target: int,
     """Per grid point (value, status, n_used) of the series limit."""
     if q_target < 1:
         raise ConfigError("q_target must be >= 1")
+    if n_cap < 1:
+        raise ConfigError("n_cap must be >= 1")
     sum_at = _summation(series, x)
     with working_precision(series.grid.precision):
         targets = [r ** q_target for r in series.rho.values_on(series.grid)]

@@ -230,7 +230,25 @@ _ERROR_CASES = [
     # a tail target rho^q with q < 1 is no tail control at all
     (("limit", "--series", "geometric", "--x", "1/2", "--q-target", "-3"),
      "q_target must be >= 1"),
+    # a cap of no terms is a bad setting, not a divergence verdict
+    (("limit", "--series", "geometric", "--x", "1/2", "--n-cap", "0"),
+     "n_cap must be >= 1"),
+    # recenter sums to m_max = 4 * --n-max and audits the tail at m_max - 1
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/4",
+      "--n-max", "0"), "recenter needs m_max >= 1 (got 0)"),
 ]
+
+
+def _error_case_ids(cases):
+    """The first two words of argv; a later row with the same two words
+    also names the last flag it passes."""
+    ids = []
+    for argv, _ in cases:
+        name = " ".join(argv[:2])
+        if name in ids:
+            name += " " + [a for a in argv if a.startswith("--")][-1]
+        ids.append(name)
+    return ids
 
 #: Config documents that name a bad value, and text the error line contains.
 _BAD_CONFIGS = [
@@ -278,7 +296,7 @@ class TestErrorExits:
     traceback."""
 
     @pytest.mark.parametrize("argv,text", _ERROR_CASES,
-                             ids=[" ".join(c[0][:2]) for c in _ERROR_CASES])
+                             ids=_error_case_ids(_ERROR_CASES))
     def test_algebra_error_is_one_config_error_line(self, argv, text, capsys):
         from hyperseries.cli import main
         assert main(list(argv)) == 1

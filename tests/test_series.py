@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -14,14 +15,15 @@ from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
                               is_moderate, ext_eq)
 from hyperseries.numerics import (GUARD_BITS, as_mpf, leq_with_slack,
                                   working_precision)
-from hyperseries.series import (DivergentSeriesError, HpsCoefficients,
-                                TableExhaustedError, _first_bound,
-                                check_strong_eq, check_weak_moderate,
-                                classify_radius, coeff_accessor, coeff_rows,
-                                converges_at, derivative_net_moderate,
-                                derived_coefficients, eventually_bounded,
-                                hyperfinite_sum, is_formal_hps, make_series,
-                                radius, series_limit, weak_witness)
+from hyperseries.series import (RADIUS_WINDOW, DivergentSeriesError,
+                                HpsCoefficients, TableExhaustedError,
+                                _first_bound, check_strong_eq,
+                                check_weak_moderate, classify_radius,
+                                coeff_accessor, coeff_rows, converges_at,
+                                derivative_net_moderate, derived_coefficients,
+                                eventually_bounded, hyperfinite_sum,
+                                is_formal_hps, make_series, radius,
+                                series_limit, table_window, weak_witness)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,63 @@ class TestStrongEq:
         assert cell["q"] * cell["n"] + cell["r"] >= 2
 
 
+def _radius_digest(estimate):
+    """sha256 of the r and limsup ``_mpf_`` tuples and the methods."""
+    payload = repr(([v._mpf_ for v in estimate.r.values],
+                    [v._mpf_ for v in estimate.limsup.values],
+                    estimate.methods))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: (family, methods, digest) of ``radius`` on the decade grid at 256 bits
+#: for families that leave the ratio path or end on it with a decay verdict;
+#: the digests were recorded while every window cell was read eagerly.
+RADIUS_BRANCHES = [
+    ("(2+(-1)^n)^n", "window-max",
+     "e242f0fd0e475d483e999ffced6d2c4c32efde594f9d1cb1f8fa9cc625a613c8"),
+    ("exp(-sqrt(n))", "window-max",
+     "659e2ba22361ca2efed8945db98db23c13184abc292b264a7dd90e41e7ab36c5"),
+    ("1/factorial(n)", "ratio-decay",
+     "52d76c8ff1c4ee17cf6796fed4203a3dc101160473703be3c6b57cc602e6add4"),
+    ("zeros", "all-zero",
+     "45d73d37d7808a1cd555c03ed78a68bd2376cd40e11cefa14fb526dedab4e6ab"),
+]
+
+#: Corpus family -> digest of ``radius`` on its table window at 128, 256
+#: and 512 bits, recorded while every window cell was read eagerly.
+CORPUS_RADIUS_DIGESTS = {
+    "geometric": 3 * (
+        "fae4bbab1b55fbce7625cdc021431c1df386f367cbdcdde1c3b50faa71bb55aa",),
+    "doubling": 3 * (
+        "b57444f01057a49224802cbebdbbd901035bda1608803c7b9c2c0cb9ffff859b",),
+    "exponential": 3 * (
+        "52d76c8ff1c4ee17cf6796fed4203a3dc101160473703be3c6b57cc602e6add4",),
+    "zero-class": (
+        "e6c84ab7e4ecbe71d5559904c24dc6635c5a5d32377322e6bc5846131baed158",
+        "4081fc0dd72f643b7f3e25f539ef2d54bccf72ba80827b1bb28d496bb56a432a",
+        "e0032bb1f9156e36415197cb4c343642f476781c8c0b74a6935737fc02ae13ef"),
+    "delta": 3 * (
+        "bcd52a0c7e5a6dce3cdd4e35040f98cea92f33dc870ef7cfda29c41d06513a47",),
+}
+
+
+def _counting_accessor(monkeypatch):
+    """Route ``radius``'s reads through a recorder; returns the set of
+    (n, grid index) cells read."""
+    cells = set()
+
+    def counting(coeffs, grid, rho):
+        read = coeff_accessor(coeffs, grid, rho)
+
+        def recorded(n, i):
+            cells.add((n, i))
+            return read(n, i)
+        return recorded
+
+    monkeypatch.setattr(series, "coeff_accessor", counting)
+    return cells
+
+
 class TestRadius:
     def test_geometric_exact(self, grid, rho):
         estimate = radius(corpus.geometric_coeffs(), rho, grid)
@@ -170,6 +229,49 @@ class TestRadius:
                 value = estimate.r.values[i]
                 assert mpmath.isinf(value) or \
                     value >= rho_values[i] ** q * (1 - mpf(2) ** -200)
+
+    @pytest.mark.parametrize("text", ["1/2^n", "2^n", "eps^n/(n+1)"])
+    def test_ratio_path_reads_at_most_24_cells(self, text, grid, rho,
+                                               monkeypatch):
+        cells = _counting_accessor(monkeypatch)
+        estimate = radius(HpsCoefficients.from_expr(text), rho, grid)
+        assert set(estimate.methods) == {"ratio-extrapolation"}
+        for i in range(len(grid)):
+            assert 0 < len({n for n, j in cells if j == i}) <= 24
+
+    @pytest.mark.parametrize("text,method,digest", RADIUS_BRANCHES,
+                             ids=[row[0] for row in RADIUS_BRANCHES])
+    def test_other_branches_unchanged(self, text, method, digest, rho):
+        grid = EpsGrid.decades(precision=256)
+        family = HpsCoefficients.from_column([Fraction(0)] * 257) \
+            if text == "zeros" else HpsCoefficients.from_expr(text)
+        estimate = radius(family, rho, grid)
+        assert set(estimate.methods) == {method}
+        assert _radius_digest(estimate) == digest
+
+    @pytest.mark.parametrize("window,need", [((16, 256), 101),
+                                             ((120, 256), 120)])
+    def test_short_table_names_first_missing_index(self, window, need, grid,
+                                                   rho, monkeypatch):
+        cells = _counting_accessor(monkeypatch)
+        table = HpsCoefficients.from_column([Fraction(1)] * 101)
+        with pytest.raises(TableExhaustedError) as caught:
+            radius(table, rho, grid, window=window)
+        assert str(caught.value) == "table ends at n=100, need %d" % need
+        assert not cells  # raised before any read
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_RADIUS_DIGESTS))
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    def test_corpus_values_at_every_precision(self, name, bits, rho):
+        grid = EpsGrid.decades(precision=bits)
+        if name == "delta":
+            _, family = corpus.delta_setup(grid, rho)
+        else:
+            family = HpsCoefficients.from_expr(corpus.EXPR_FAMILIES[name])
+        estimate = radius(family, rho, grid, table_window(family,
+                                                          RADIUS_WINDOW))
+        expected = CORPUS_RADIUS_DIGESTS[name][(128, 256, 512).index(bits)]
+        assert _radius_digest(estimate) == expected
 
 
 class TestClassify:
