@@ -8,22 +8,23 @@ it can legitimately depend on eps or exceed every tested power of 1/rho.
 
 import mpmath
 
-from hyperseries import EpsGrid, Gauge, HpsCoefficients, corpus
+from hyperseries import EpsGrid, HpsCoefficients, corpus
 from hyperseries import classify_radius, radius
 
 print(__doc__)
 
 grid = EpsGrid.decades()
-rho = Gauge.from_text("eps")
+rho, sigma = corpus.standard_gauges()
 
 families = [
-    ("all ones", corpus.geometric_coeffs()),
-    ("2^n", corpus.doubling_coeffs()),
-    ("1/n!", corpus.exponential_coeffs()),
-    ("rho^((n+1)/eps)", corpus.zero_class_coeffs()),
+    ("all ones", "geometric"),
+    ("2^n", "doubling"),
+    ("1/n!", "exponential"),
+    ("rho^((n+1)/eps)", "zero-class"),
 ]
 
-for label, fam in families:
+for label, name in families:
+    fam = corpus.build_series(name, grid, rho, sigma).coeffs
     estimate = radius(fam, rho, grid, window=(16, 256))
     classes = classify_radius(estimate, rho, grid)
     print("%-16s r head = %-12s  method = %-19s classes = %s"
@@ -33,7 +34,8 @@ print()
 
 # the zero-class family: every coefficient is strongly negligible, yet its
 # root curve has a genuinely eps-dependent limit rho^(1/eps)
-estimate = radius(corpus.zero_class_coeffs(), rho, grid, window=(16, 256))
+zero_class = corpus.build_series("zero-class", grid, rho, sigma).coeffs
+estimate = radius(zero_class, rho, grid, window=(16, 256))
 print("zero-class root-curve limits vs rho^(1/eps):")
 with mpmath.workprec(300):
     for i in (0, 1, 2):

@@ -21,7 +21,8 @@ print(__doc__)
 
 grid = EpsGrid.decades()
 rho, sigma = corpus.standard_gauges()
-ones = corpus.geometric_coeffs()
+ones = corpus.build_series("geometric", grid, rho, sigma).coeffs
+exponential = corpus.build_series("exponential", grid, rho, sigma).coeffs
 
 # Cauchy product: the squared geometric series counts its own terms
 squared = cauchy_product(ones, ones, 16, grid, rho)
@@ -36,7 +37,7 @@ print("1/(1-x) family   :", quotient.column_values(8))
 # composition: exp after x + x^2, checked against direct evaluation
 inner = HpsCoefficients.from_column([Fraction(0), Fraction(1), Fraction(1)]
                                     + [Fraction(0)] * 18)
-composed = compose(corpus.exponential_coeffs(), inner, 20, grid, rho)
+composed = compose(exponential, inner, 20, grid, rho)
 with mpmath.workprec(256):
     x = mpmath.mpf("0.1")
     series_value = sum(mpmath.mpf(c.numerator) / c.denominator * x ** n
@@ -64,6 +65,6 @@ with mpmath.workprec(256):
              mpmath.nstr(mpmath.log(2), 15)))
 
 # derivation: the exponential family is its own derived family
-derived = derived_coefficients(corpus.exponential_coeffs(), 1)
+derived = derived_coefficients(exponential, 1)
 head = derived.materialize(6, grid, rho).column_values(6)
 print("derive(1/n!)     :", head, "(again 1/n!)")

@@ -3,15 +3,15 @@
 
 Every criterion states its tolerances inline (they come from the project
 contract, not from runtime calibration) and returns a CheckResult whose
-details carry the witnesses actually measured.  The standard environment is
-the decade grid eps = 10^-k, k = 1..8, rho = sigma = eps, 256-bit mantissas.
+details carry the witnesses actually measured.  Criteria read the grid,
+gauges, seed and built-in corpus families (never a config's own series) from
+a :class:`~hyperseries.config.RunConfig`; by default the decade grid
+eps = 10^-k, k = 1..8, rho = sigma = eps, 256-bit mantissas.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -19,6 +19,7 @@ import mpmath
 from mpmath import mpf
 
 from . import algebra, corpus, graf
+from .config import RunConfig
 from .nets import (ConfigError, EpsGrid, Gauge, GenNum, ext_eq,
                    hypernat_from_expr, is_negligible)
 from .numerics import (GUARD_BITS, as_mpf, decimal_str, num_sub,
@@ -27,43 +28,6 @@ from .report import CheckResult, canonical_bytes, digest, jsonable
 from .series import (HpsCoefficients, check_strong_eq, classify_radius,
                      converges_at, derived_coefficients, hyperfinite_sum,
                      make_series, radius, series_limit, weak_witness)
-
-
-@dataclass
-class SuiteEnv:
-    """Shared fixtures for one suite run; heavyweight pieces are lazy."""
-
-    grid: EpsGrid
-    rho: Gauge
-    sigma: Gauge
-    seed: int = 0
-    _corpus: Optional[dict] = None
-    _delta: Optional[tuple] = None
-
-    @classmethod
-    def standard(cls) -> "SuiteEnv":
-        rho, sigma = corpus.standard_gauges()
-        return cls(grid=corpus.default_grid(), rho=rho, sigma=sigma)
-
-    @property
-    def zero(self) -> GenNum:
-        return GenNum.constant(0, self.grid)
-
-    def series(self, name: str):
-        if self._corpus is None:
-            self._corpus = {}
-        if name not in self._corpus:
-            self._corpus[name] = corpus.build_series(name, self.grid,
-                                                     self.rho, self.sigma)
-        return self._corpus[name]
-
-    def delta_setup(self):
-        if self._delta is None:
-            self._delta = corpus.delta_setup(self.grid, self.rho)
-        return self._delta
-
-    def rng(self, salt: int = 0) -> random.Random:
-        return random.Random(self.seed * 1000003 + salt)
 
 
 def _result(name: str, ok: bool, details: dict,
@@ -85,19 +49,19 @@ def _tail_close(a, b, grid: EpsGrid, rho: Gauge, exponent: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-def criterion_01_geometric_identity(env: SuiteEnv) -> CheckResult:
+def criterion_01_geometric_identity(cfg: RunConfig) -> CheckResult:
     """Hyperfinite geometric sums at x = drho match 1/(1 - drho) to order 6;
     the limit at 1/2 is 2 within rho^4 on the tail."""
-    geom = env.series("geometric")
-    drho = GenNum.from_expr("rho", env.grid, env.rho)
-    upper = hypernat_from_expr("1/eps", env.sigma, env.grid)
+    geom = cfg.builtin("geometric")
+    drho = GenNum.from_expr("rho", cfg.grid, cfg.rho)
+    upper = hypernat_from_expr("1/eps", cfg.sigma, cfg.grid)
     sums = hyperfinite_sum(geom, drho, upper)
-    closed = GenNum.constant(1, env.grid) / (GenNum.constant(1, env.grid) - drho)
-    identity = ext_eq(sums, closed, env.rho, env.grid, q_max=6)
-    half = GenNum.constant(Fraction(1, 2), env.grid)
+    closed = GenNum.constant(1, cfg.grid) / (GenNum.constant(1, cfg.grid) - drho)
+    identity = ext_eq(sums, closed, cfg.rho, cfg.grid, q_max=6)
+    half = GenNum.constant(Fraction(1, 2), cfg.grid)
     limit = series_limit(geom, half, q_target=8)
-    at_half = _tail_close(limit.values, [2] * len(env.grid), env.grid,
-                          env.rho, 4)
+    at_half = _tail_close(limit.values, [2] * len(cfg.grid), cfg.grid,
+                          cfg.rho, 4)
     return _result("geometric-identity",
                    identity.passed and at_half,
                    {"ext_eq": identity, "limit_at_half": limit.describe(),
@@ -109,25 +73,25 @@ def criterion_01_geometric_identity(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_02_exponential_split(env: SuiteEnv) -> CheckResult:
+def criterion_02_exponential_split(cfg: RunConfig) -> CheckResult:
     """Membership holds at -log(rho) with limit 1/rho to 1e-20 relative,
     and fails at rho^-1 through the moderateness condition."""
-    exp_series = env.series("exponential")
+    exp_series = cfg.builtin("exponential")
     good = converges_at(exp_series,
-                        GenNum.from_expr("-log(rho)", env.grid, env.rho),
+                        GenNum.from_expr("-log(rho)", cfg.grid, cfg.rho),
                         q_target=30)
-    bits = env.grid.precision
+    bits = cfg.grid.precision
     rel_ok = True
     worst = mpf(0)
     if good.limit is not None:
         with working_precision(bits):
-            for i in range(len(env.grid)):
-                target = 1 / env.grid.points[i]
+            for i in range(len(cfg.grid)):
+                target = 1 / cfg.grid.points[i]
                 rel = abs(as_mpf(good.limit.values[i], bits) - target) / target
                 worst = max(worst, rel)
             rel_ok = worst <= mpf("1e-20")
     bad = converges_at(exp_series,
-                       GenNum.from_expr("rho^(-1)", env.grid, env.rho))
+                       GenNum.from_expr("rho^(-1)", cfg.grid, cfg.rho))
     ok = (good.overall.passed and rel_ok and bad.overall.failed
           and bad.cond_limit.failed)
     return _result("exponential-split", ok,
@@ -140,20 +104,21 @@ def criterion_02_exponential_split(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_03_radius_values(env: SuiteEnv) -> CheckResult:
+def criterion_03_radius_values(cfg: RunConfig) -> CheckResult:
     """r = 1 and 1/2 exactly for the geometric families, the exponential
     family sits beyond every tested power, and the zero-class root curve
     settles at rho^(1/eps) to 1e-30 relative (window top 256)."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     bits = grid.precision
-    r_ones = radius(corpus.geometric_coeffs(), rho, grid)
+    r_ones = radius(cfg.builtin("geometric").coeffs, rho, grid)
     ones_exact = all(v == 1 for v in r_ones.r.values)
-    r_twos = radius(corpus.doubling_coeffs(), rho, grid)
+    r_twos = radius(cfg.builtin("doubling").coeffs, rho, grid)
     twos_exact = all(v == mpf("0.5") for v in r_twos.r.values)
-    r_exp = radius(corpus.exponential_coeffs(), rho, grid)
+    r_exp = radius(cfg.builtin("exponential").coeffs, rho, grid)
     exp_class = classify_radius(r_exp, rho, grid)
     exp_beyond = exp_class.all_beyond_tested_powers
-    r_zero = radius(corpus.zero_class_coeffs(), rho, grid, window=(16, 256))
+    r_zero = radius(cfg.builtin("zero-class").coeffs, rho, grid,
+                    window=(16, 256))
     with working_precision(bits + 16):
         worst = mpf(0)
         for i in range(len(grid)):
@@ -175,17 +140,14 @@ def criterion_03_radius_values(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
+def criterion_04_radius_stability(cfg: RunConfig) -> CheckResult:
     """Adding rho^((n+1)/eps) moves the root-curve limit by less than
     rho^q (q <= 4) at every tail point, family by family."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     cases = {}
     ok = True
     perturb = "rho^((n+1)/eps)"
-    specs = [("geometric", "1"), ("doubling", "2^n"),
-             ("exponential", "1/factorial(n)"),
-             ("zero-class", "rho^((n+1)/eps)")]
-    for name, expr in specs:
+    for name, expr in corpus.EXPR_FAMILIES.items():
         base = radius(HpsCoefficients.from_expr(expr), rho, grid)
         moved = radius(HpsCoefficients.from_expr("(%s) + %s" % (expr, perturb)),
                        rho, grid)
@@ -197,7 +159,7 @@ def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
             worst_q = q
         cases[name] = {"verified_q": worst_q}
         ok = ok and worst_q == 4
-    spec_delta, delta_fam = env.delta_setup()
+    spec_delta, delta_fam = cfg.delta_setup()
     base = radius(delta_fam, rho, grid, window=(16, 94))
     moved_fam = algebra.add(delta_fam, HpsCoefficients.from_expr(perturb),
                             grid, rho, n_max=delta_fam.n_max)
@@ -213,11 +175,11 @@ def criterion_04_radius_stability(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_05_division(env: SuiteEnv) -> CheckResult:
+def criterion_05_division(cfg: RunConfig) -> CheckResult:
     """1/(1-x) as a coefficient division is the all-ones family exactly to
     n = 64; ten random exact pairs round-trip through the Cauchy product
     with strong equivalence at (4, 4)."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     n_max = 64
     numerator = HpsCoefficients.from_column(
         [Fraction(1)] + [Fraction(0)] * n_max)
@@ -225,7 +187,7 @@ def criterion_05_division(env: SuiteEnv) -> CheckResult:
         [Fraction(1), Fraction(-1)] + [Fraction(0)] * (n_max - 1))
     quotient = algebra.reciprocal_div(numerator, denominator, n_max, grid, rho)
     ones_exact = all(v == 1 for v in quotient.column_values(n_max))
-    rng = env.rng(5)
+    rng = cfg.rng(5)
     round_trips = []
     all_pass = True
     for _ in range(10):
@@ -246,14 +208,14 @@ def criterion_05_division(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_06_cauchy_product(env: SuiteEnv) -> CheckResult:
+def criterion_06_cauchy_product(cfg: RunConfig) -> CheckResult:
     """Squared geometric coefficients equal n+1 exactly; the squared series
     at 1/2 sums to 4 within rho^4 on the tail."""
-    grid, rho, sigma = env.grid, env.rho, env.sigma
-    ones = corpus.geometric_coeffs()
+    grid, rho, sigma = cfg.grid, cfg.rho, cfg.sigma
+    ones = cfg.builtin("geometric").coeffs
     squared = algebra.cauchy_product(ones, ones, 256, grid, rho)
     exact = all(v == n + 1 for n, v in enumerate(squared.column_values(256)))
-    product_series = make_series(squared, env.zero, rho, sigma, grid)
+    product_series = make_series(squared, cfg.zero, rho, sigma, grid)
     half = GenNum.constant(Fraction(1, 2), grid)
     limit = series_limit(product_series, half, q_target=8)
     at_half = _tail_close(limit.values, [4] * len(grid), grid, rho, 4)
@@ -268,15 +230,15 @@ def criterion_06_cauchy_product(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_07_composition(env: SuiteEnv) -> CheckResult:
+def criterion_07_composition(cfg: RunConfig) -> CheckResult:
     """exp composed with x + x^2 reproduces direct evaluation to 1e-12 at
     x in {0.05, 0.1} (20 coefficients); reversion round-trips to the
     identity at depth 16, Catalan signs included."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     bits = grid.precision
     inner = HpsCoefficients.from_column(
         [Fraction(0), Fraction(1), Fraction(1)] + [Fraction(0)] * 18)
-    composed = algebra.compose(corpus.exponential_coeffs(), inner, 20,
+    composed = algebra.compose(cfg.builtin("exponential").coeffs, inner, 20,
                                grid, rho)
     column = composed.column_values(20)
     comp_ok = True
@@ -301,7 +263,7 @@ def criterion_07_composition(env: SuiteEnv) -> CheckResult:
     identity = algebra.identity_coefficients(16)
     cases = [check_strong_eq(algebra.compose(inner, catalan, 16, grid, rho),
                              identity, rho, grid, n_max=16)]
-    rng = env.rng(7)
+    rng = cfg.rng(7)
     for _ in range(3):
         base = corpus.random_dyadic_family(rng, 16, growth=Fraction(1))
         rows = list(base.column_values(16))
@@ -324,14 +286,14 @@ def criterion_07_composition(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_08_derived_radius(env: SuiteEnv) -> CheckResult:
+def criterion_08_derived_radius(cfg: RunConfig) -> CheckResult:
     """|r(a) - r(derive(a))| <= 1e-6 relative for the geometric and
     exponential families and ten random ratio-smooth families."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     bits = grid.precision
-    families = [("geometric", corpus.geometric_coeffs(), (16, 256)),
-                ("exponential", corpus.exponential_coeffs(), (16, 256))]
-    rng = env.rng(8)
+    families = [(name, cfg.builtin(name).coeffs, (16, 256))
+                for name in ("geometric", "exponential")]
+    rng = cfg.rng(8)
     for idx in range(10):
         fam = corpus.random_smooth_family(rng, 320)
         families.append(("random_%d" % idx, fam, (16, 300)))
@@ -363,19 +325,19 @@ def criterion_08_derived_radius(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_09_delta(env: SuiteEnv) -> CheckResult:
+def criterion_09_delta(cfg: RunConfig) -> CheckResult:
     """Odd delta coefficients vanish exactly, the weak witness is (1, 1)
     for b = 1/rho, the radius classifies as infinite, and hyperfinite
     partial sums at x = drho track b mu(b x) within rho^4 on the tail."""
-    grid, rho, sigma = env.grid, env.rho, env.sigma
-    spec, fam = env.delta_setup()
+    grid, rho, sigma = cfg.grid, cfg.rho, cfg.sigma
+    spec, fam = cfg.delta_setup()
     odd_zero = all(fam.rows[n] == 0 for n in range(1, fam.n_max + 1, 2))
     witness = weak_witness(fam, rho, grid)
     witness_ok = witness == (1, 1)
     classification = classify_radius(radius(fam, rho, grid, window=(16, 94)),
                                      rho, grid)
     radius_ok = classification.all_beyond_tested_powers
-    delta_series = make_series(fam, env.zero, rho, sigma, grid)
+    delta_series = make_series(fam, cfg.zero, rho, sigma, grid)
     drho = GenNum.from_expr("rho", grid, rho)
     upper = hypernat_from_expr("1/eps", sigma, grid)
     floor_ok = all(upper.values[i] >= 8 for i in grid.tail)
@@ -394,21 +356,20 @@ def criterion_09_delta(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_10_growth(env: SuiteEnv) -> CheckResult:
+def criterion_10_growth(cfg: RunConfig) -> CheckResult:
     """Factorial growth bound: passes for the exponential with finite
     constants, passes for delta with 1/R tracking b (within 0.1), and
     fails for factorial coefficients and the nowhere-analytic bounds."""
-    grid, rho, sigma = env.grid, env.rho, env.sigma
-    zero = env.zero
-    exp_net = graf.DerivativeNet.from_uniform_expr("exp(x)", grid, rho,
-                                                   label="exp")
+    grid, rho, sigma = cfg.grid, cfg.rho, cfg.sigma
+    zero = cfg.zero
+    exp_net = graf.DerivativeNet.from_uniform_expr("exp(x)", grid, rho)
     samples = [GenNum.constant(Fraction(k, 10), grid) for k in (-5, 0, 5)]
     exp_witness = graf.graf_check(exp_net, zero, GenNum.constant(1, grid),
                                   40, samples, rho, grid)
     exp_ok = (exp_witness.verdict.passed and
               exp_witness.inv_r_exponent is not None and
               abs(exp_witness.inv_r_exponent) <= 0.1)
-    spec, _ = env.delta_setup()
+    spec, _ = cfg.delta_setup()
     delta_net = graf.delta_derivative_net(spec, k_max=70)
     ball = GenNum.from_expr("rho", grid, rho)
     near = [zero, GenNum.from_expr("rho/2", grid, rho),
@@ -447,11 +408,11 @@ def criterion_10_growth(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_11_representative_independence(env: SuiteEnv) -> CheckResult:
+def criterion_11_representative_independence(cfg: RunConfig) -> CheckResult:
     """Hyperfinite sums under negligible coefficient perturbations differ
     by nets that vanish to order at least 4, across ten seeded cases."""
-    grid, rho, sigma = env.grid, env.rho, env.sigma
-    rng = env.rng(11)
+    grid, rho, sigma = cfg.grid, cfg.rho, cfg.sigma
+    rng = cfg.rng(11)
     strong = check_strong_eq(
         HpsCoefficients.from_expr("1"),
         HpsCoefficients.from_expr("1 + rho^((n+1)/eps)"), rho, grid,
@@ -467,11 +428,11 @@ def criterion_11_representative_independence(env: SuiteEnv) -> CheckResult:
         p_expr = perturbations[(k // len(bases)) % 2 if k < 6 else rng.randrange(2)]
         exponent = max(1 + q_witness, 1)
         x = GenNum.from_expr("rho^%d" % exponent, grid, rho)
-        base_series = make_series(HpsCoefficients.from_expr(expr), env.zero,
+        base_series = make_series(HpsCoefficients.from_expr(expr), cfg.zero,
                                   rho, sigma, grid)
         moved_series = make_series(
             HpsCoefficients.from_expr("(%s) + %s" % (expr, p_expr)),
-            env.zero, rho, sigma, grid)
+            cfg.zero, rho, sigma, grid)
         difference = hyperfinite_sum(base_series, x, upper) - \
             hyperfinite_sum(moved_series, x, upper)
         verdict = is_negligible(difference, rho, grid, q_max=4)
@@ -486,14 +447,14 @@ def criterion_11_representative_independence(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_12_convergence_ball(env: SuiteEnv) -> CheckResult:
+def criterion_12_convergence_ball(cfg: RunConfig) -> CheckResult:
     """Every corpus family converges at x = c + drho^max(1+Q, 1)."""
-    grid, rho = env.grid, env.rho
+    grid, rho = cfg.grid, cfg.rho
     details = {}
     ok = True
     for name in ("geometric", "doubling", "exponential", "zero-class",
                  "delta"):
-        series = env.series(name)
+        series = cfg.builtin(name)
         witness = weak_witness(series.coeffs, series.rho, grid)
         exponent = max(1 + (witness[0] if witness else 0), 1)
         x = GenNum.from_expr("rho^%d" % exponent, grid, rho) + series.center
@@ -513,10 +474,10 @@ def criterion_12_convergence_ball(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def criterion_13_flat_point(env: SuiteEnv) -> CheckResult:
+def criterion_13_flat_point(cfg: RunConfig) -> CheckResult:
     """exp(-1/x) vanishes to every tested order at infinitesimal arguments
     and its series at center 1 reproduces the value at 1.1 to 1e-10."""
-    verdict = graf.flat_point_check(env.grid, env.rho)
+    verdict = graf.flat_point_check(cfg.grid, cfg.rho)
     return _result("flat-point", verdict.passed, {"verdict": verdict})
 
 
@@ -525,15 +486,16 @@ def criterion_13_flat_point(env: SuiteEnv) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _determinism_payload(env: SuiteEnv) -> bytes:
+def _determinism_payload(cfg: RunConfig) -> bytes:
     """A representative computation rebuilt from scratch, serialized."""
-    grid, rho, sigma = env.grid, env.rho, env.sigma
-    geom = make_series(corpus.geometric_coeffs(), env.zero, rho, sigma, grid)
+    grid, rho, sigma = cfg.grid, cfg.rho, cfg.sigma
+    geom = corpus.build_series("geometric", grid, rho, sigma)
     drho = GenNum.from_expr("rho", grid, rho)
     upper = hypernat_from_expr("1/eps", sigma, grid)
     sums = hyperfinite_sum(geom, drho, upper)
-    rad = radius(corpus.zero_class_coeffs(), rho, grid, window=(16, 256))
-    rng = env.rng(14)
+    rad = radius(corpus.build_series("zero-class", grid, rho, sigma).coeffs,
+                 rho, grid, window=(16, 256))
+    rng = cfg.rng(14)
     a, b = corpus.random_division_pair(rng, 48)
     quotient = algebra.reciprocal_div(a, b, 48, grid, rho)
     payload = {
@@ -546,20 +508,19 @@ def _determinism_payload(env: SuiteEnv) -> bytes:
     return canonical_bytes(jsonable(payload, grid.precision))
 
 
-def criterion_14_determinism(env: SuiteEnv) -> CheckResult:
+def criterion_14_determinism(cfg: RunConfig) -> CheckResult:
     """Two from-scratch runs of a representative computation serialize to
     identical bytes (execution is single-threaded by design, so thread
     count cannot influence results)."""
-    first = _determinism_payload(env)
-    again = _determinism_payload(SuiteEnv(grid=env.grid, rho=env.rho,
-                                          sigma=env.sigma, seed=env.seed))
+    first = _determinism_payload(cfg)
+    again = _determinism_payload(cfg)
     ok = first == again
     return _result("determinism", ok,
                    {"bytes": len(first), "identical": ok,
                     "digest": digest({"payload": first.decode("utf-8")})})
 
 
-CRITERIA: Dict[str, Callable[[SuiteEnv], CheckResult]] = {
+CRITERIA: Dict[str, Callable[[RunConfig], CheckResult]] = {
     "01-geometric-identity": criterion_01_geometric_identity,
     "02-exponential-split": criterion_02_exponential_split,
     "03-radius-values": criterion_03_radius_values,
@@ -577,7 +538,7 @@ CRITERIA: Dict[str, Callable[[SuiteEnv], CheckResult]] = {
 }
 
 
-def run_suite(env: SuiteEnv,
+def run_suite(cfg: RunConfig,
               echo: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
     """Every criterion in order.  A criterion that raises a ``ConfigError``
     (say, a table too short at this precision) is recorded as inconclusive
@@ -586,7 +547,7 @@ def run_suite(env: SuiteEnv,
     results = []
     for name, check in CRITERIA.items():
         try:
-            result = check(env)
+            result = check(cfg)
         except ConfigError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
             result = CheckResult(name=name.split("-", 1)[1],

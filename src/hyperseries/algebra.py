@@ -51,7 +51,7 @@ RECENTER_TAIL_TOL = "1e-30"
 INVERTIBLE_M_MAX = 8
 
 
-def _map_columns(op, grid, rho, n_max, label, *operands):
+def _map_columns(op, grid, rho, n_max, *operands):
     """Apply ``op`` once to the shared columns when no operand varies across
     the grid, otherwise once per grid point.  An operand is a family (``op``
     gets its rows 0..n_max) or a per-point value tuple (``op`` gets one
@@ -69,13 +69,12 @@ def _map_columns(op, grid, rho, n_max, label, *operands):
             raise InsufficientDepthError("%s, %s" % (exc.where, where)) from None
 
     if not any(isinstance(row, tuple) for rows in tables for row in rows):
-        return HpsCoefficients.from_column(run("every grid point", tables),
-                                           label=label)
+        return HpsCoefficients.from_column(run("every grid point", tables))
     per_point = [run("grid index %d" % i,
                      [[row[i] if isinstance(row, tuple) else row
                        for row in rows] for rows in tables])
                  for i in range(len(grid))]
-    return HpsCoefficients.from_column(zip(*per_point), label=label)
+    return HpsCoefficients.from_column(zip(*per_point))
 
 
 def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -86,8 +85,7 @@ def add(a: HpsCoefficients, b: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     bits = grid.precision
     return _map_columns(lambda u, v: [num_add(u[n], v[n], bits)
                                       for n in range(n_max + 1)],
-                        grid, rho, n_max, "(%s)+(%s)" % (a.label, b.label),
-                        a, b)
+                        grid, rho, n_max, a, b)
 
 
 def _convolve(u, v, n_max, bits):
@@ -106,8 +104,7 @@ def cauchy_product(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     """Convolution c_n = sum a_k b_(n-k), exact for exact operands."""
     bits = grid.precision
     return _map_columns(lambda u, v: _convolve(u, v, n_max, bits),
-                        grid, rho, n_max, "(%s)*(%s)" % (a.label, b.label),
-                        a, b)
+                        grid, rho, n_max, a, b)
 
 
 def _require_invertible(family, name, n, grid, rho):
@@ -143,8 +140,7 @@ def reciprocal_div(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
             out.append(num_div(numerator, v[0], bits))
         return out
 
-    return _map_columns(divide, grid, rho, n_max,
-                        "(%s)/(%s)" % (a.label, b.label), a, b)
+    return _map_columns(divide, grid, rho, n_max, a, b)
 
 
 def _compose_column(outer, inner, n_max, bits):
@@ -172,8 +168,7 @@ def compose(a: HpsCoefficients, b: HpsCoefficients, n_max: int,
     """
     bits = grid.precision
     return _map_columns(lambda u, v: _compose_column(u, v, n_max, bits),
-                        grid, rho, n_max, "(%s)o(%s)" % (a.label, b.label),
-                        a, b)
+                        grid, rho, n_max, a, b)
 
 
 def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
@@ -186,7 +181,7 @@ def integrate(a: HpsCoefficients, grid: EpsGrid, rho: Gauge,
     # input depth n_max - 1 produces output depth n_max
     return _map_columns(lambda u: [Fraction(0)] + [num_div(u[n], n + 1, bits)
                                                    for n in range(len(u))],
-                        grid, rho, n_max - 1, "int(%s)" % a.label, a)
+                        grid, rho, n_max - 1, a)
 
 
 def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
@@ -199,6 +194,8 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
     to the computed entry, naming n and the grid index of the column, or
     "every grid point" when the series and the shift are shared.
     """
+    if n_max < 0:
+        raise ConfigError("n_max must be >= 0")
     if m_max < n_max:
         raise ConfigError("recenter needs m_max >= n_max (got %d < %d)"
                           % (m_max, n_max))
@@ -250,9 +247,8 @@ def recenter(series: HpsSeries, new_center: GenNum, n_max: int,
                 column.append(total)
         return column
 
-    return _map_columns(shifted, grid, series.rho, m_max,
-                        "recenter(%s)" % series.coeffs.label,
-                        series.coeffs, shift)
+    return _map_columns(shifted, grid, series.rho, m_max, series.coeffs,
+                        shift)
 
 
 def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid,
@@ -276,9 +272,9 @@ def reverse(a: HpsCoefficients, n_max: int, grid: EpsGrid,
             g[n] = num_div(num_sub(0, h[n], bits), tilde[1], bits)
         return g
 
-    return _map_columns(invert, grid, rho, n_max, "reverse(%s)" % a.label, a)
+    return _map_columns(invert, grid, rho, n_max, a)
 
 
 def identity_coefficients(n_max: int) -> HpsCoefficients:
     rows = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n_max - 1)
-    return HpsCoefficients.from_column(rows[:n_max + 1], label="x")
+    return HpsCoefficients.from_column(rows[:n_max + 1])

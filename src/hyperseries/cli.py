@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import acceptance, algebra, corpus, graf
+from . import acceptance, algebra, graf
 from .config import load_config
 from .nets import (ConfigError, GenNum, InvalidGaugeError,
                    NotHypernaturalError, Verdict, hypernat_from_expr,
@@ -233,11 +233,11 @@ def _cmd_graf(cfg, args, sink) -> List[CheckResult]:
     k_max = args.n_max + 8
     if args.net == "exp":
         net = graf.DerivativeNet.from_uniform_expr("exp(x)", grid, rho,
-                                                   k_max=k_max, label="exp")
+                                                   k_max=k_max)
         ball = GenNum.constant(1, grid)
         samples = [GenNum.constant(Fraction(k, 10), grid) for k in (-5, 0, 5)]
     elif args.net == "delta":
-        spec, _ = corpus.delta_setup(grid, rho)
+        spec, _ = cfg.delta_setup()
         net = graf.delta_derivative_net(spec, k_max=k_max)
         ball = GenNum.from_expr("rho", grid, rho)
         samples = [zero, GenNum.from_expr("rho/2", grid, rho),
@@ -257,25 +257,20 @@ _EXAMPLES = ("geometric", "exp", "delta", "flat", "nowhere")
 
 
 def _cmd_example(cfg, args, sink) -> List[CheckResult]:
-    env = acceptance.SuiteEnv(grid=cfg.grid, rho=cfg.rho, sigma=cfg.sigma,
-                              seed=args.seed or 0)
-    name = args.name
-    if name == "geometric":
-        return [acceptance.criterion_01_geometric_identity(env)]
-    if name == "exp":
-        return [acceptance.criterion_02_exponential_split(env)]
-    if name == "delta":
-        return [acceptance.criterion_09_delta(env)]
-    if name == "flat":
-        return [acceptance.criterion_13_flat_point(env)]
+    if args.name == "geometric":
+        return [acceptance.criterion_01_geometric_identity(cfg)]
+    if args.name == "exp":
+        return [acceptance.criterion_02_exponential_split(cfg)]
+    if args.name == "delta":
+        return [acceptance.criterion_09_delta(cfg)]
+    if args.name == "flat":
+        return [acceptance.criterion_13_flat_point(cfg)]
     verdict = graf.nowhere_analytic_reject(cfg.grid, cfg.rho)
     return [_verdict_result("example-nowhere", verdict)]
 
 
 def _cmd_suite(cfg, args, sink) -> List[CheckResult]:
-    env = acceptance.SuiteEnv(grid=cfg.grid, rho=cfg.rho, sigma=cfg.sigma,
-                              seed=args.seed or 0)
-    return acceptance.run_suite(env, echo=lambda line: print(line, file=sys.stderr))
+    return acceptance.run_suite(cfg, echo=lambda line: print(line, file=sys.stderr))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +371,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, precision_override=args.precision,
                           tail_start_override=args.tail_start)
+        cfg.seed = args.seed or 0
         if args.command == "graf" and not (args.net or args.series):
             raise ConfigError("graf needs --net or --series")
         if args.csv:

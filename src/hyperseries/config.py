@@ -23,10 +23,12 @@ expected; tables are lists of expression strings in ``n`` only.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import corpus, netexpr
+from .graf import MollifierSpec
 from .nets import ConfigError, EpsGrid, Gauge, GenNum
 from .report import digest
 from .series import HpsCoefficients, HpsSeries, make_series
@@ -38,13 +40,18 @@ MAX_DECADE_POINTS = 100
 
 @dataclass
 class RunConfig:
+    """The one run environment of the CLI and the acceptance suite; each
+    series and the delta mollifier are built once per environment."""
+
     grid: EpsGrid
     gauges: Dict[str, Gauge]
     series_specs: Dict[str, dict]
     points: Dict[str, str]
-    raw: dict
     config_hash: str
+    seed: int = 0
     _series_cache: dict = field(default_factory=dict)
+    _builtins: dict = field(default_factory=dict)
+    _delta: Optional[tuple] = None
 
     @property
     def rho(self) -> Gauge:
@@ -54,26 +61,47 @@ class RunConfig:
     def sigma(self) -> Gauge:
         return self.gauges["sigma"]
 
+    @property
+    def zero(self) -> GenNum:
+        return GenNum.constant(0, self.grid)
+
+    def rng(self, salt: int) -> random.Random:
+        return random.Random(self.seed * 1000003 + salt)
+
     def point(self, text: str) -> GenNum:
         """Resolve a named point or an inline expression."""
         expr = self.points.get(text, text)
         return GenNum.from_expr(expr, self.grid, self.rho)
 
     def series(self, name_or_expr: str) -> HpsSeries:
-        if name_or_expr in self._series_cache:
-            return self._series_cache[name_or_expr]
+        """A series the config names, a built-in family, or an inline
+        coefficient expression centered at zero."""
         spec = self.series_specs.get(name_or_expr)
-        if spec is not None:
-            built = self._build_series(spec)
-        else:
-            if name_or_expr == "delta":
-                _, coeffs = corpus.delta_setup(self.grid, self.rho)
-            else:  # inline coefficient expression
-                coeffs = HpsCoefficients.from_expr(name_or_expr)
-            built = make_series(coeffs, GenNum.constant(0, self.grid),
-                                self.rho, self.sigma, self.grid)
-        self._series_cache[name_or_expr] = built
-        return built
+        if spec is None and (name_or_expr == "delta"
+                             or name_or_expr in corpus.EXPR_FAMILIES):
+            return self.builtin(name_or_expr)
+        if name_or_expr not in self._series_cache:
+            self._series_cache[name_or_expr] = (
+                self._build_series(spec) if spec is not None else
+                make_series(HpsCoefficients.from_expr(name_or_expr),
+                            self.zero, self.rho, self.sigma, self.grid))
+        return self._series_cache[name_or_expr]
+
+    def builtin(self, name: str) -> HpsSeries:
+        """The built-in family ``name``, even where the config's own series
+        shadow that name; the delta family reuses :meth:`delta_setup`."""
+        if name not in self._builtins:
+            self._builtins[name] = (
+                make_series(self.delta_setup()[1], self.zero, self.rho,
+                            self.sigma, self.grid) if name == "delta" else
+                corpus.build_series(name, self.grid, self.rho, self.sigma))
+        return self._builtins[name]
+
+    def delta_setup(self) -> Tuple[MollifierSpec, HpsCoefficients]:
+        """The :func:`corpus.delta_setup` mollifier and delta family."""
+        if self._delta is None:
+            self._delta = corpus.delta_setup(self.grid, self.rho)
+        return self._delta
 
     def _build_series(self, spec: dict) -> HpsSeries:
         coeff_spec = spec.get("coeffs")
@@ -177,14 +205,15 @@ def load_config(path: Optional[str] = None,
     for name, spec in series_specs.items():
         if not isinstance(spec, dict):
             raise ConfigError("series %r must be a JSON object" % name)
-    for name, coeffs in corpus.EXPR_FAMILIES.items():
-        series_specs.setdefault(name, {"coeffs": coeffs, "center": "0"})
+    hashed_series = {name: {"coeffs": coeffs, "center": "0"}
+                     for name, coeffs in corpus.EXPR_FAMILIES.items()}
+    hashed_series.update(series_specs)
     points = {str(k): str(v) for k, v in _object(raw, "points", {}).items()}
     normalized = {"precision": precision, "tail_start": tail_start,
                   "grid": raw.get("grid", {"decades": [1, 8]}),
                   "gauges": {k: netexpr.to_text(v.expr)
                              for k, v in sorted(gauges.items())},
-                  "series": {k: series_specs[k] for k in sorted(series_specs)},
+                  "series": dict(sorted(hashed_series.items())),
                   "points": points}
     return RunConfig(grid=grid, gauges=gauges, series_specs=series_specs,
-                     points=points, raw=raw, config_hash=digest(normalized))
+                     points=points, config_hash=digest(normalized))

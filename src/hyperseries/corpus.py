@@ -1,10 +1,13 @@
 """Canonical example families and seeded random family generators.
 
-The same objects back the demos, the command-line `example` subcommands and
-the acceptance suite: the geometric family (all ones), its doubled cousin
-2^n, the exponential family 1/n!, the zero-class net rho^((n+1)/eps) (a
-family strongly equivalent to zero whose root curve has a genuinely
-epsilon-dependent limit), and the mollifier-scaled Dirac delta.
+:func:`build_series` is the one builder of the named families: the
+geometric family (all ones), its doubled cousin 2^n, the exponential family
+1/n!, the zero-class net rho^((n+1)/eps) (a family strongly equivalent to
+zero whose root curve has a genuinely epsilon-dependent limit), and the
+mollifier-scaled Dirac delta, whose mollifier and coefficient table
+:func:`delta_setup` builds.  The demos call them directly; the CLI, its
+`example` and `suite` subcommands included, reads them through
+:class:`hyperseries.config.RunConfig`, which builds each once per run.
 
 Random families are dyadic rationals with bounded mantissas so that algebra
 on them stays exact and their admissibility witnesses are stable.
@@ -36,33 +39,13 @@ EXPR_FAMILIES = {"geometric": "1", "doubling": "2^n",
                  "zero-class": "rho^((n+1)/eps)"}
 
 
-def _expr_family(name: str) -> HpsCoefficients:
-    return HpsCoefficients.from_expr(EXPR_FAMILIES[name], label=name)
-
-
-def geometric_coeffs() -> HpsCoefficients:
-    return _expr_family("geometric")
-
-
-def doubling_coeffs() -> HpsCoefficients:
-    return _expr_family("doubling")
-
-
-def exponential_coeffs() -> HpsCoefficients:
-    return _expr_family("exponential")
-
-
-def zero_class_coeffs() -> HpsCoefficients:
-    return _expr_family("zero-class")
-
-
 def build_series(name: str, grid: EpsGrid, rho: Gauge,
                  sigma: Gauge) -> HpsSeries:
     """One named example series, centered at zero."""
     if name == "delta":
         _, coeffs = delta_setup(grid, rho)
     elif name in EXPR_FAMILIES:
-        coeffs = _expr_family(name)
+        coeffs = HpsCoefficients.from_expr(EXPR_FAMILIES[name])
     else:
         raise KeyError("unknown corpus family %r" % name)
     return make_series(coeffs, GenNum.constant(0, grid), rho, sigma, grid)
@@ -100,7 +83,7 @@ def random_dyadic_family(rng: random.Random, n_max: int,
             m = abs(m)
         values.append(m * power)
         power *= growth
-    return HpsCoefficients.from_column(values, label="random-dyadic")
+    return HpsCoefficients.from_column(values)
 
 
 def random_smooth_family(rng: random.Random, n_max: int) -> HpsCoefficients:
@@ -113,8 +96,7 @@ def random_smooth_family(rng: random.Random, n_max: int) -> HpsCoefficients:
     for n in range(n_max + 1):
         values.append(scale * power * Fraction(n + 1) ** j)
         power *= lam
-    return HpsCoefficients.from_column(
-        values, label="random-smooth(lam=%s, j=%d)" % (lam, j))
+    return HpsCoefficients.from_column(values)
 
 
 def random_division_pair(rng: random.Random, n_max: int):

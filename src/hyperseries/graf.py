@@ -79,12 +79,11 @@ class DerivativeNet:
                 raise ConfigError("derivative series does not settle at grid "
                                   "indices %s" % list(exc.cells)) from exc
 
-        return cls(evaluator=evaluate, k_max=k_max,
-                   label="series(%s)" % series.coeffs.label)
+        return cls(evaluator=evaluate, k_max=k_max)
 
     @classmethod
     def from_uniform_expr(cls, text_or_expr, grid: EpsGrid, rho: Gauge,
-                          k_max: int = 64, label: str = "") -> "DerivativeNet":
+                          k_max: int = 64) -> "DerivativeNet":
         """One expression in (eps, rho, x) serving every derivative order."""
         expr = (netexpr.parse(text_or_expr)
                 if isinstance(text_or_expr, str) else text_or_expr)
@@ -101,8 +100,7 @@ class DerivativeNet:
                 values.append(netexpr.eval_mpf(expr, env, grid.precision))
             return GenNum(values=tuple(values), grid=grid)
 
-        return cls(evaluator=evaluate, k_max=k_max,
-                   label=label or netexpr.to_text(expr))
+        return cls(evaluator=evaluate, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +146,17 @@ def _even_moment(n: int, bits: int, bump: Callable[[mpf], mpf]) -> mpf:
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Moment table of the bump plus the infinite scaling factor b.
+    """Moment table of the bump (:func:`bump_value`) plus the infinite
+    scaling factor b.
 
     Stored derivative values use the real convention
     ``mu^(n)(0) = (-1)^(n/2) m_n / (2 pi)`` for even n and exactly zero for
-    odd n; the bump profile is recorded for reproducibility.
+    odd n.
     """
 
     moments: Tuple[mpf, ...]
     b: GenNum
     b_exponent: int
-    profile: str
     grid: EpsGrid
 
     @property
@@ -240,8 +238,6 @@ def make_mollifier(grid: EpsGrid, rho: Gauge, b_exponent: int = 1,
     b = GenNum.from_expr("rho^(-%d)" % b_exponent, grid, rho)
     _validate_moments(moments)
     return MollifierSpec(moments=tuple(moments), b=b, b_exponent=b_exponent,
-                         profile="even bump, support [-1,1], flat 1 on "
-                                 "[-1/2,1/2], exp-based shoulders",
                          grid=grid)
 
 
@@ -275,8 +271,7 @@ def delta_coeffs(m: MollifierSpec, n_max: int) -> HpsCoefficients:
             fact = mpmath.factorial(n)
             rows.append(tuple(mu * as_mpf(m.b.values[i], bits) ** (n + 1) / fact
                               for i in range(len(grid))))
-    return HpsCoefficients.from_column(rows, label="delta(b=rho^-%d)"
-                                       % m.b_exponent)
+    return HpsCoefficients.from_column(rows)
 
 
 def delta_derivative_net(m: MollifierSpec, k_max: int = 64) -> DerivativeNet:
@@ -293,7 +288,7 @@ def delta_derivative_net(m: MollifierSpec, k_max: int = 64) -> DerivativeNet:
                 values.append(b_i ** (k + 1) * m.mu_series_at(k, y))
         return GenNum(values=tuple(values), grid=grid)
 
-    return DerivativeNet(evaluator=evaluate, k_max=k_max, label="delta")
+    return DerivativeNet(evaluator=evaluate, k_max=k_max)
 
 
 def delta_eval(m: MollifierSpec, x: GenNum) -> GenNum:
@@ -316,7 +311,7 @@ def taylor_coeffs(f: DerivativeNet, c: GenNum, n_max: int, rho: Gauge,
             net = f.eval_deriv(k, c)
             fact = math.factorial(k)
             rows.append(tuple(_div_exactish(v, fact, bits) for v in net.values))
-    out = HpsCoefficients.from_column(rows, label="taylor(%s)" % f.label)
+    out = HpsCoefficients.from_column(rows)
     return out, check_weak_moderate(out, rho, grid, n_max=min(64, n_max))
 
 
@@ -459,7 +454,7 @@ def flat_point_taylor_at_one(n_max: int) -> HpsCoefficients:
                              for k in range(1, n_max + 1)]
     outer = [Fraction(1, math.factorial(k)) for k in range(n_max + 1)]
     column = _compose_column(outer, inner, n_max, 256)
-    return HpsCoefficients.from_column(column, label="flat-point-at-1")
+    return HpsCoefficients.from_column(column)
 
 
 def flat_point_check(grid: EpsGrid, rho: Gauge) -> Verdict:
@@ -504,8 +499,7 @@ def flat_point_check(grid: EpsGrid, rho: Gauge) -> Verdict:
 def nowhere_analytic_coeffs() -> HpsCoefficients:
     """Coefficient lower bounds of a nowhere-analytic smooth function:
     exp(-2n) (4 n^2)^n / n!; admissibility must reject this family."""
-    return HpsCoefficients.from_expr("exp(-2*n)*(4*n^2)^n/factorial(n)",
-                                     label="nowhere-analytic-lower-bound")
+    return HpsCoefficients.from_expr("exp(-2*n)*(4*n^2)^n/factorial(n)")
 
 
 def nowhere_analytic_reject(grid: EpsGrid, rho: Gauge) -> Verdict:

@@ -180,7 +180,6 @@ class GenNum:
 
     values: Tuple[Num, ...]
     grid: EpsGrid
-    expr: Optional[netexpr.Expr] = None
 
     def __post_init__(self):
         if len(self.values) != len(self.grid):
@@ -202,7 +201,7 @@ class GenNum:
             if rho_value is not None:
                 env["rho"] = rho_value
             values.append(netexpr.evaluate(expr, env, grid.precision))
-        return cls(values=tuple(values), grid=grid, expr=expr)
+        return cls(values=tuple(values), grid=grid)
 
     @classmethod
     def constant(cls, value, grid: EpsGrid) -> "GenNum":

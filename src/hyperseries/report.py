@@ -179,4 +179,4 @@ def read_coefficients_csv(path, grid):
         if len(row) != len(grid):
             raise ValueError("row n=%d of %s has %d values, the grid has %d "
                              "points" % (n, path, len(row), len(grid)))
-    return HpsCoefficients.from_column(rows, label=str(path))
+    return HpsCoefficients.from_column(rows)

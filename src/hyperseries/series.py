@@ -144,7 +144,6 @@ class HpsCoefficients:
     expr: Optional[netexpr.Expr] = None
     rows: Optional[Tuple] = None
     n_max: Optional[int] = None
-    label: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -154,25 +153,21 @@ class HpsCoefficients:
             object.__setattr__(self, "n_max", len(self.rows) - 1)
 
     @classmethod
-    def from_expr(cls, text_or_expr, n_max: Optional[int] = None,
-                  label: str = "") -> "HpsCoefficients":
+    def from_expr(cls, text_or_expr,
+                  n_max: Optional[int] = None) -> "HpsCoefficients":
         expr = (netexpr.parse(text_or_expr)
                 if isinstance(text_or_expr, str) else text_or_expr)
         bad = netexpr.free_vars(expr) - {"n", "eps", "rho"}
         if bad:
             raise ConfigError("coefficient expression uses %s"
                               % ", ".join(sorted(bad)))
-        return cls(expr=expr, n_max=n_max, label=label or netexpr.to_text(expr))
+        return cls(expr=expr, n_max=n_max)
 
     @classmethod
-    def from_column(cls, values: Sequence, label: str = "") -> "HpsCoefficients":
+    def from_column(cls, values: Sequence) -> "HpsCoefficients":
         """Table family; each row is one shared value or a per-point tuple,
         stored as :func:`shared_row` leaves it."""
-        return cls(rows=tuple(shared_row(row) for row in values), label=label)
-
-    @property
-    def bounded(self) -> bool:
-        return self.n_max is not None
+        return cls(rows=tuple(shared_row(row) for row in values))
 
     def bound_or(self, fallback: int) -> int:
         return self.n_max if self.n_max is not None else fallback
@@ -190,10 +185,9 @@ class HpsCoefficients:
             raise ConfigError("family varies across the grid")
         return list(rows)
 
-    def materialize(self, n_max: int, grid: EpsGrid, rho: Gauge,
-                    label: str = "") -> "HpsCoefficients":
-        return HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max),
-                                           label=label or self.label)
+    def materialize(self, n_max: int, grid: EpsGrid,
+                    rho: Gauge) -> "HpsCoefficients":
+        return HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max))
 
 
 def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
@@ -287,8 +281,7 @@ def derived_coefficients(coeffs: HpsCoefficients, order: int = 1) -> HpsCoeffici
             factor = term if factor is None else netexpr.Bin("*", factor, term)
         new_expr = netexpr.Bin("*", factor, shifted)
         new_max = None if coeffs.n_max is None else coeffs.n_max - order
-        return HpsCoefficients(expr=new_expr, n_max=new_max,
-                               label="derive^%d(%s)" % (order, coeffs.label))
+        return HpsCoefficients(expr=new_expr, n_max=new_max)
     rows = []
     for n in range(coeffs.n_max - order + 1):
         factor = 1
@@ -299,8 +292,7 @@ def derived_coefficients(coeffs: HpsCoefficients, order: int = 1) -> HpsCoeffici
             rows.append(tuple(v * factor for v in row))
         else:
             rows.append(row * factor)
-    return HpsCoefficients(rows=tuple(rows),
-                           label="derive^%d(%s)" % (order, coeffs.label))
+    return HpsCoefficients(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +612,7 @@ class RadiusEstimate:
 def table_window(coeffs: HpsCoefficients,
                  window: Tuple[int, int]) -> Tuple[int, int]:
     """The radius window clipped to a table's depth (unchanged otherwise)."""
-    if not coeffs.bounded:
+    if coeffs.n_max is None:
         return tuple(window)
     return (min(window[0], max(2, coeffs.n_max // 4)),
             min(window[1], coeffs.n_max))
@@ -659,7 +651,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
         raise ConfigError("window must start at n >= 1")
     if n_hi - n_lo < 16:
         raise ConfigError("window must span at least 16 indices")
-    if coeffs.bounded and coeffs.n_max < n_hi:
+    if coeffs.n_max is not None and coeffs.n_max < n_hi:
         raise TableExhaustedError(
             "table ends at n=%d, need %d"
             % (coeffs.n_max, max(n_lo, coeffs.n_max + 1)))
@@ -1027,7 +1019,6 @@ class ConvergenceReport:
     cond_derivs: Verdict
     overall: Verdict
     limit: Optional[GenNum] = None
-    radius_estimate: Optional[RadiusEstimate] = None
 
 
 def converges_at(series: HpsSeries, x: GenNum,
@@ -1072,8 +1063,7 @@ def converges_at(series: HpsSeries, x: GenNum,
                                 "limit": cond_limit, "derivatives": cond_derivs})
     return ConvergenceReport(cond_radius=cond_radius, cond_formal=cond_formal,
                              cond_limit=cond_limit, cond_derivs=cond_derivs,
-                             overall=overall, limit=limit_net,
-                             radius_estimate=rad)
+                             overall=overall, limit=limit_net)
 
 
 def _limit_condition(series, x, q_target, rho_values):

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import settings
 
-from hyperseries.acceptance import SuiteEnv
+from hyperseries import corpus
+from hyperseries.config import load_config
 from hyperseries.nets import EpsGrid, Gauge
+from hyperseries.series import HpsCoefficients
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -25,4 +27,11 @@ def sigma():
 
 @pytest.fixture(scope="session")
 def env():
-    return SuiteEnv.standard()
+    return load_config()
+
+
+@pytest.fixture(scope="session")
+def corpus_family():
+    """Fresh coefficients of a named :data:`hyperseries.corpus.EXPR_FAMILIES`
+    family, the table :func:`hyperseries.corpus.build_series` builds."""
+    return lambda name: HpsCoefficients.from_expr(corpus.EXPR_FAMILIES[name])

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from hyperseries import acceptance, cli
+from hyperseries import acceptance, cli, corpus
 from hyperseries.acceptance import CRITERIA, run_suite
+from hyperseries.config import load_config
 from hyperseries.report import CheckResult, digest, jsonable
 from hyperseries.series import TableExhaustedError
 
@@ -93,3 +94,21 @@ def test_suite_other_errors_propagate(env, monkeypatch):
                                                  "02-stand-in": _passing})
     with pytest.raises(RuntimeError):
         run_suite(env)
+
+
+def test_delta_family_built_once_per_environment(monkeypatch):
+    """Criteria 04 and 09 and the CLI's delta series share one mollifier
+    and one delta table."""
+    calls = []
+    build = corpus.delta_setup
+
+    def counting(grid, rho):
+        calls.append(grid.precision)
+        return build(grid, rho)
+
+    monkeypatch.setattr(corpus, "delta_setup", counting)
+    cfg = load_config()
+    assert CRITERIA["04-radius-stability"](cfg).passed
+    assert CRITERIA["09-dirac-delta"](cfg).passed
+    assert cfg.series("delta").coeffs is cfg.delta_setup()[1]
+    assert calls == [256]

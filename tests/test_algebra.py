@@ -28,15 +28,15 @@ def padded(values, n_max):
 
 
 class TestAdd:
-    def test_additive_identity(self, grid, rho):
-        for family in (corpus.geometric_coeffs(),
+    def test_additive_identity(self, grid, rho, corpus_family):
+        for family in (corpus_family("geometric"),
                        HpsCoefficients.from_expr("log(n+2)")):
             out = add(family, padded([], 64), grid, rho, n_max=64)
             assert out.column_values(64) == \
                 family.materialize(64, grid, rho).column_values(64)
 
-    def test_sum_of_limits(self, grid, rho, sigma):
-        mixed = add(corpus.geometric_coeffs(), corpus.exponential_coeffs(),
+    def test_sum_of_limits(self, grid, rho, sigma, corpus_family):
+        mixed = add(corpus_family("geometric"), corpus_family("exponential"),
                     grid, rho, n_max=300)
         series = make_series(mixed, GenNum.constant(0, grid), rho, sigma, grid)
         limit = series_limit(series, GenNum.constant(Fraction(1, 2), grid),
@@ -45,17 +45,17 @@ class TestAdd:
             expected = 2 + mpmath.exp(mpf(1) / 2)
             assert abs(limit.values[-1] - expected) <= mpf("1e-20")
 
-    def test_cancellation_gives_zero_family(self, grid, rho):
-        ones = corpus.geometric_coeffs()
+    def test_cancellation_gives_zero_family(self, grid, rho, corpus_family):
+        ones = corpus_family("geometric")
         minus = HpsCoefficients.from_expr("-1")
         out = add(ones, minus, grid, rho, n_max=300)
         assert all(v == 0 for v in out.column_values(300))
         estimate = radius(out, rho, grid)
         assert all(mpmath.isinf(v) for v in estimate.r.values)
 
-    def test_radius_at_least_min(self, grid, rho):
-        a = corpus.geometric_coeffs()       # r = 1
-        b = corpus.doubling_coeffs()        # r = 1/2
+    def test_radius_at_least_min(self, grid, rho, corpus_family):
+        a = corpus_family("geometric")       # r = 1
+        b = corpus_family("doubling")        # r = 1/2
         out = add(a, b, grid, rho, n_max=300)
         estimate = radius(out, rho, grid)
         # ratios of 1 + 2^n converge to 2 exponentially, not polynomially,
@@ -66,18 +66,18 @@ class TestAdd:
 
 
 class TestCauchyProduct:
-    def test_ones_squared(self, grid, rho):
-        ones = corpus.geometric_coeffs()
+    def test_ones_squared(self, grid, rho, corpus_family):
+        ones = corpus_family("geometric")
         squared = cauchy_product(ones, ones, 64, grid, rho)
         assert squared.column_values(64) == [Fraction(n + 1) for n in range(65)]
 
-    def test_annihilator(self, grid, rho):
-        out = cauchy_product(corpus.geometric_coeffs(),
+    def test_annihilator(self, grid, rho, corpus_family):
+        out = cauchy_product(corpus_family("geometric"),
                              padded([], 32), 32, grid, rho)
         assert all(v == 0 for v in out.column_values(32))
 
-    def test_product_limit(self, grid, rho, sigma):
-        ones = corpus.geometric_coeffs()
+    def test_product_limit(self, grid, rho, sigma, corpus_family):
+        ones = corpus_family("geometric")
         squared = cauchy_product(ones, ones, 256, grid, rho)
         series = make_series(squared, GenNum.constant(0, grid), rho, sigma,
                              grid)
@@ -166,29 +166,29 @@ class TestReversion:
 
 
 class TestDeriveIntegrate:
-    def test_exponential_fixed_point(self, grid, rho):
-        out = derived_coefficients(corpus.exponential_coeffs(), 1)
+    def test_exponential_fixed_point(self, grid, rho, corpus_family):
+        out = derived_coefficients(corpus_family("exponential"), 1)
         expected = [Fraction(1, math.factorial(n)) for n in range(20)]
         assert out.materialize(19, grid, rho).column_values(19) == expected
 
-    def test_derive_of_ones(self, grid, rho):
-        out = derived_coefficients(corpus.geometric_coeffs(), 1)
+    def test_derive_of_ones(self, grid, rho, corpus_family):
+        out = derived_coefficients(corpus_family("geometric"), 1)
         values = out.materialize(10, grid, rho).column_values(10)
         assert values == [Fraction(n + 1) for n in range(11)]
 
-    def test_log_series_from_integration(self, grid, rho):
-        out = integrate(corpus.geometric_coeffs(), grid, rho, n_max=32)
+    def test_log_series_from_integration(self, grid, rho, corpus_family):
+        out = integrate(corpus_family("geometric"), grid, rho, n_max=32)
         values = out.column_values(32)
         assert values[0] == 0
         assert values[1:] == [Fraction(1, n) for n in range(1, 33)]
 
-    def test_round_trip_identity(self, grid, rho):
-        base = corpus.doubling_coeffs().materialize(40, grid, rho)
+    def test_round_trip_identity(self, grid, rho, corpus_family):
+        base = corpus_family("doubling").materialize(40, grid, rho)
         back = derived_coefficients(integrate(base, grid, rho, n_max=41), 1)
         assert back.column_values(40) == base.column_values(40)
 
-    def test_integral_limit_is_log_two(self, grid, rho, sigma):
-        anti = integrate(corpus.geometric_coeffs(), grid, rho, n_max=400)
+    def test_integral_limit_is_log_two(self, grid, rho, sigma, corpus_family):
+        anti = integrate(corpus_family("geometric"), grid, rho, n_max=400)
         series = make_series(anti, GenNum.constant(0, grid), rho, sigma, grid)
         limit = series_limit(series, GenNum.constant(Fraction(1, 2), grid),
                              q_target=12)
@@ -251,7 +251,8 @@ class TestRecenter:
             recenter(series, GenNum.from_expr("1/2 + rho", grid, rho), 8, 30,
                      check=False)
 
-    def test_shared_column_computed_once(self, rho, sigma, monkeypatch):
+    def test_shared_column_computed_once(self, rho, sigma, monkeypatch,
+                                         corpus_family):
         calls = []
 
         def counting(a, b, bits):
@@ -262,7 +263,7 @@ class TestRecenter:
         counts = []
         for grid in (EpsGrid.decades(), EpsGrid.decades(1, 1, tail_start=0)):
             # built directly: no gauge decreases across a one-point grid
-            series = HpsSeries(corpus.geometric_coeffs(),
+            series = HpsSeries(corpus_family("geometric"),
                                GenNum.constant(0, grid), rho, sigma, grid)
             calls.clear()
             out = recenter(series, GenNum.constant(Fraction(1, 4), grid), 8,
@@ -273,11 +274,11 @@ class TestRecenter:
 
 
 class TestCauchyConsistencyWithLimits:
-    def test_product_of_limits_matches(self, grid, rho, sigma):
+    def test_product_of_limits_matches(self, grid, rho, sigma, corpus_family):
         # product series evaluated inside both balls equals the product of
         # the factor series values
-        a = corpus.geometric_coeffs()
-        b = corpus.exponential_coeffs()
+        a = corpus_family("geometric")
+        b = corpus_family("exponential")
         prod = cauchy_product(a, b, 300, grid, rho)
         series = make_series(prod, GenNum.constant(0, grid), rho, sigma, grid)
         x = GenNum.constant(Fraction(1, 3), grid)

@@ -1,6 +1,7 @@
-"""The package's API surface: no dead imports, no export only tests reach.
+"""The package's API surface: no dead imports, no export only tests reach,
+no dataclass field that nothing reads.
 
-Both checks read the source with ``ast``, so they need no linter.
+Every check reads the source with ``ast``, so they need no linter.
 """
 
 import ast
@@ -17,6 +18,12 @@ CALLER_TREES = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 _TEST_ONLY_EXPORTS = {
     "taylor_coeffs": "the paper's Taylor extraction, tested directly; "
                      "making the suite reach it would move report_hash",
+}
+
+#: Dataclass fields that no caller tree reads, with the reason each stays.
+_WRITE_ONLY_FIELDS = {
+    "DerivativeNet.label": "perfbench/execute.py builds a DerivativeNet "
+                           "with label=, and perfbench is the benchmark",
 }
 
 
@@ -70,3 +77,29 @@ def test_every_export_is_reached_outside_tests():
                  if not any(name in _references(tree, skip=name)
                             for tree in trees)]
     assert sorted(unreached) == sorted(_TEST_ONLY_EXPORTS)
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of a ``@dataclass``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign))
+
+
+def test_every_dataclass_field_is_read():
+    """By attribute name only: a field whose name another class also reads
+    (``label``, ``expr``) passes unseen."""
+    loaded = {node.attr for top in CALLER_TREES for path in top.rglob("*.py")
+              for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = ["%s.%s" % pair for path in PACKAGE.glob("*.py")
+              for pair in _dataclass_fields(_parse(path))
+              if pair[1] not in loaded]
+    assert sorted(unread) == sorted(_WRITE_ONLY_FIELDS)

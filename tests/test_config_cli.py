@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 
+from hyperseries import netexpr
 from hyperseries.config import load_config
 from hyperseries.nets import ConfigError, gauge_le_star
 from hyperseries.report import (CheckResult, Report, canonical_bytes, digest,
@@ -65,7 +66,22 @@ class TestConfig:
     def test_inline_expression_series(self):
         cfg = load_config(None)
         series = cfg.series("1/(n+1)")
-        assert series.coeffs.label
+        assert series.coeffs.expr == netexpr.parse("1/(n+1)")
+        assert series.coeffs.n_max is None
+        assert series.center.values == cfg.zero.values
+
+    def test_built_in_series_built_once(self, tmp_path):
+        cfg = load_config(None)
+        for name in ("geometric", "doubling", "exponential", "zero-class",
+                     "delta"):
+            assert cfg.series(name) is cfg.builtin(name)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"series": {"geometric": {"coeffs": "2^n", "center": "0"}}}))
+        shadowed = load_config(str(path))
+        assert shadowed.series("geometric").coeffs.expr == netexpr.parse("2^n")
+        assert shadowed.builtin("geometric").coeffs.expr == netexpr.parse("1")
+        assert shadowed.config_hash != cfg.config_hash
 
     def test_short_table_builds_without_witness(self, tmp_path):
         path = tmp_path / "config.json"
@@ -236,17 +252,22 @@ _ERROR_CASES = [
     # recenter sums to m_max = 4 * --n-max and audits the tail at m_max - 1
     (("algebra", "recenter", "--series", "geometric", "--x", "1/4",
       "--n-max", "0"), "recenter needs m_max >= 1 (got 0)"),
+    # a negative --n-max is named before the m_max it scales
+    (("algebra", "recenter", "--series", "geometric", "--x", "1/4",
+      "--n-max", "-1"), "n_max must be >= 0"),
 ]
 
 
 def _error_case_ids(cases):
-    """The first two words of argv; a later row with the same two words
-    also names the last flag it passes."""
+    """The first two words of argv; a later row whose name is taken also
+    names the last flag it passes, and then that flag's value."""
     ids = []
     for argv, _ in cases:
         name = " ".join(argv[:2])
-        if name in ids:
-            name += " " + [a for a in argv if a.startswith("--")][-1]
+        last = max(i for i, a in enumerate(argv) if a.startswith("--"))
+        for word in argv[last:last + 2]:
+            if name in ids:
+                name += " " + word
         ids.append(name)
     return ids
 

@@ -85,7 +85,7 @@ class TestBumpAndMoments:
         broken = list(mollifier.moments)
         broken[3] = mpf("0.25")
         bad = MollifierSpec(moments=tuple(broken), b=mollifier.b,
-                            b_exponent=1, profile="broken", grid=grid)
+                            b_exponent=1, grid=grid)
         with pytest.raises(InvalidMollifierError):
             delta_coeffs(bad, 64)
 
@@ -310,6 +310,6 @@ class TestNowhereAnalytic:
         verdict = check_weak_moderate(nowhere_analytic_coeffs(), rho, grid)
         assert verdict.failed
 
-    def test_control_family_accepted(self, grid, rho):
-        verdict = check_weak_moderate(corpus.exponential_coeffs(), rho, grid)
+    def test_control_family_accepted(self, grid, rho, corpus_family):
+        verdict = check_weak_moderate(corpus_family("exponential"), rho, grid)
         assert verdict.passed

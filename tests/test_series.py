@@ -73,8 +73,8 @@ class TestWeakModerate:
         if verdict.passed:
             assert (verdict.witness["Q"], verdict.witness["R"]) == (q, r)
 
-    def test_constant_family(self, grid, rho):
-        verdict = check_weak_moderate(corpus.geometric_coeffs(), rho, grid)
+    def test_constant_family(self, grid, rho, corpus_family):
+        verdict = check_weak_moderate(corpus_family("geometric"), rho, grid)
         assert verdict.passed and (verdict.witness["Q"],
                                    verdict.witness["R"]) == (0, 0)
 
@@ -84,12 +84,12 @@ class TestWeakModerate:
         assert verdict.failed
         assert "slope" in verdict.notes
 
-    def test_doubling_family(self, grid, rho):
-        verdict = check_weak_moderate(corpus.doubling_coeffs(), rho, grid)
+    def test_doubling_family(self, grid, rho, corpus_family):
+        verdict = check_weak_moderate(corpus_family("doubling"), rho, grid)
         assert verdict.passed and verdict.witness["Q"] == 1
 
-    def test_zero_class_family(self, grid, rho):
-        verdict = check_weak_moderate(corpus.zero_class_coeffs(), rho, grid)
+    def test_zero_class_family(self, grid, rho, corpus_family):
+        verdict = check_weak_moderate(corpus_family("zero-class"), rho, grid)
         assert verdict.passed and (verdict.witness["Q"],
                                    verdict.witness["R"]) == (0, 0)
 
@@ -104,12 +104,12 @@ class TestWeakModerate:
 
 
 class TestStrongEq:
-    def test_identical(self, grid, rho):
-        ones = corpus.geometric_coeffs()
+    def test_identical(self, grid, rho, corpus_family):
+        ones = corpus_family("geometric")
         assert check_strong_eq(ones, ones, rho, grid, n_max=32).passed
 
-    def test_strongly_negligible_perturbation(self, grid, rho):
-        base = corpus.geometric_coeffs()
+    def test_strongly_negligible_perturbation(self, grid, rho, corpus_family):
+        base = corpus_family("geometric")
         moved = HpsCoefficients.from_expr("1 + rho^((n+1)/eps)")
         assert check_strong_eq(base, moved, rho, grid, n_max=32).passed
 
@@ -118,8 +118,8 @@ class TestStrongEq:
         moved = HpsCoefficients.from_expr("1 + rho^((n+1)/eps)")
         assert check_strong_eq(base, moved, rho, grid, n_max=48).passed
 
-    def test_plain_gauge_offset_fails(self, grid, rho):
-        base = corpus.geometric_coeffs()
+    def test_plain_gauge_offset_fails(self, grid, rho, corpus_family):
+        base = corpus_family("geometric")
         moved = HpsCoefficients.from_expr("1 + rho")
         verdict = check_strong_eq(base, moved, rho, grid, n_max=32)
         assert verdict.failed
@@ -186,20 +186,20 @@ def _counting_accessor(monkeypatch):
 
 
 class TestRadius:
-    def test_geometric_exact(self, grid, rho):
-        estimate = radius(corpus.geometric_coeffs(), rho, grid)
+    def test_geometric_exact(self, grid, rho, corpus_family):
+        estimate = radius(corpus_family("geometric"), rho, grid)
         assert all(v == 1 for v in estimate.r.values)
 
-    def test_doubling_exact(self, grid, rho):
-        estimate = radius(corpus.doubling_coeffs(), rho, grid)
+    def test_doubling_exact(self, grid, rho, corpus_family):
+        estimate = radius(corpus_family("doubling"), rho, grid)
         assert all(v == mpf("0.5") for v in estimate.r.values)
 
-    def test_exponential_infinite(self, grid, rho):
-        estimate = radius(corpus.exponential_coeffs(), rho, grid)
+    def test_exponential_infinite(self, grid, rho, corpus_family):
+        estimate = radius(corpus_family("exponential"), rho, grid)
         assert all(mpmath.isinf(v) for v in estimate.r.values)
 
-    def test_zero_class_limsup(self, grid, rho):
-        estimate = radius(corpus.zero_class_coeffs(), rho, grid,
+    def test_zero_class_limsup(self, grid, rho, corpus_family):
+        estimate = radius(corpus_family("zero-class"), rho, grid,
                           window=(16, 256))
         with working_precision(grid.precision + 16):
             for i, point in enumerate(grid.points):
@@ -213,15 +213,15 @@ class TestRadius:
         assert all(mpmath.isinf(v) for v in estimate.r.values)
         assert set(estimate.methods) == {"all-zero"}
 
-    def test_window_validation(self, grid, rho):
+    def test_window_validation(self, grid, rho, corpus_family):
         with pytest.raises(ConfigError):
-            radius(corpus.geometric_coeffs(), rho, grid, window=(16, 24))
+            radius(corpus_family("geometric"), rho, grid, window=(16, 24))
 
-    def test_positivity_from_witness(self, grid, rho):
+    def test_positivity_from_witness(self, grid, rho, corpus_family):
         # weakly moderate coefficients keep the radius above rho^Q
         rho_values = rho.values_on(grid)
-        for fam in (corpus.geometric_coeffs(), corpus.doubling_coeffs(),
-                    corpus.exponential_coeffs()):
+        for fam in (corpus_family("geometric"), corpus_family("doubling"),
+                    corpus_family("exponential")):
             verdict = check_weak_moderate(fam, rho, grid)
             estimate = radius(fam, rho, grid)
             q = verdict.witness["Q"]
@@ -262,12 +262,13 @@ class TestRadius:
 
     @pytest.mark.parametrize("name", sorted(CORPUS_RADIUS_DIGESTS))
     @pytest.mark.parametrize("bits", [128, 256, 512])
-    def test_corpus_values_at_every_precision(self, name, bits, rho):
+    def test_corpus_values_at_every_precision(self, name, bits, rho,
+                                              corpus_family):
         grid = EpsGrid.decades(precision=bits)
         if name == "delta":
             _, family = corpus.delta_setup(grid, rho)
         else:
-            family = HpsCoefficients.from_expr(corpus.EXPR_FAMILIES[name])
+            family = corpus_family(name)
         estimate = radius(family, rho, grid, table_window(family,
                                                           RADIUS_WINDOW))
         expected = CORPUS_RADIUS_DIGESTS[name][(128, 256, 512).index(bits)]
@@ -275,15 +276,15 @@ class TestRadius:
 
 
 class TestClassify:
-    def test_geometric_moderate(self, grid, rho):
+    def test_geometric_moderate(self, grid, rho, corpus_family):
         classification = classify_radius(
-            radius(corpus.geometric_coeffs(), rho, grid), rho, grid)
+            radius(corpus_family("geometric"), rho, grid), rho, grid)
         assert set(classification.classes) == {"moderate"}
         assert classification.p_m == 0
 
-    def test_exponential_beyond(self, grid, rho):
+    def test_exponential_beyond(self, grid, rho, corpus_family):
         classification = classify_radius(
-            radius(corpus.exponential_coeffs(), rho, grid), rho, grid)
+            radius(corpus_family("exponential"), rho, grid), rho, grid)
         assert classification.all_beyond_tested_powers
         assert classification.p_m is None
 
@@ -399,14 +400,14 @@ class TestConvergesAt:
 
 
 class TestMakeSeries:
-    def test_invalid_sigma_rejected(self, grid, rho):
+    def test_invalid_sigma_rejected(self, grid, rho, corpus_family):
         with pytest.raises(InvalidGaugeError):
-            make_series(corpus.geometric_coeffs(), GenNum.constant(0, grid),
+            make_series(corpus_family("geometric"), GenNum.constant(0, grid),
                         rho, Gauge.from_text("1/eps", "sigma"), grid)
 
-    def test_immoderate_center_rejected(self, grid, rho, sigma):
+    def test_immoderate_center_rejected(self, grid, rho, sigma, corpus_family):
         with pytest.raises(ConfigError):
-            make_series(corpus.geometric_coeffs(),
+            make_series(corpus_family("geometric"),
                         GenNum.from_expr("rho^(-(1/eps))", grid, rho), rho,
                         sigma, grid)
 
@@ -468,10 +469,10 @@ class TestBallGuarantee:
         table = HpsCoefficients.from_column([1, 1, 1, 1])
         assert weak_witness(table, rho, grid) is None
 
-    def test_witness_follows_the_grid(self, grid, rho):
+    def test_witness_follows_the_grid(self, grid, rho, corpus_family):
         """A family witnessed on one grid has another grid's witness there:
         2^n is (1, 0) on the decades, (3, 7) on 0.9..0.5."""
-        doubling = corpus.doubling_coeffs()
+        doubling = corpus_family("doubling")
         assert weak_witness(doubling, rho, grid) == (1, 0)
         with working_precision(grid.precision):
             points = tuple(mpf(k) / 10 for k in (9, 8, 7, 6, 5))
