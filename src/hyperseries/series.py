@@ -26,6 +26,15 @@ geometric majorant of the remaining tail falls below the last representable
 ulp of the partial sum, so results match full summation bit for bit while
 staying desk-scale.
 
+Sums, the radius estimate and the magnitude reads take every coefficient
+rounded to the working precision from one reader, :func:`_rounded_reader`.
+It memoizes each rounded cell on the family, next to the exact values of
+:func:`coeff_accessor`, so the ladder sums, the series limit and the
+derived limits of one membership test evaluate and round a cell once;
+:func:`coeff_accessor` states the key and the bound of both memos.  Exact
+readers (:func:`coeff_rows`, the algebra, :func:`check_strong_eq`) read the
+exact memo alone.
+
 All sums go through one kernel, :func:`_sum_terms`, under one of two stop
 policies that differ only by a tail target.  With no target it sums a block
 ``[n_start, n_stop]`` and stops with
@@ -72,8 +81,10 @@ STOP_RUN = 8
 STOP_RATIO = 0.75
 #: Doubling-slope increase treated as genuine super-geometric growth.
 SLOPE_MARGIN = 0.05
-#: Coefficient accessor caches only indices up to this bound.
+#: The exact-value memo of a family holds only indices up to this bound.
 _CACHE_N_LIMIT = 512
+#: Each rounded-value memo of a family holds at most this many cells.
+_ROUNDED_MEMO_ENTRIES = 8192
 #: Sums abort once sign-consistent growth passes rho^-ABORT_EXPONENT.
 ABORT_EXPONENT = 256
 #: The membership test sums up to the sigma-ladder rungs sigma^-1 ..
@@ -190,28 +201,54 @@ class HpsCoefficients:
         return HpsCoefficients.from_column(coeff_rows(self, grid, rho, n_max))
 
 
+def _memo_scope(coeffs: HpsCoefficients, grid: EpsGrid, rho: Gauge):
+    """``(names, shared, scope)`` of a family on ``grid``: the free variables
+    of its expression, whether one value per n serves every grid point (no
+    variable but ``n``), and the key of its memos on the family, which is the
+    precision and, for per-point values, the grid points and the gauge they
+    depend on.  A table's cells depend on neither, so they are per point at
+    the precision alone."""
+    if coeffs.expr is None:
+        return frozenset(), False, grid.precision
+    names = netexpr.free_vars(coeffs.expr)
+    shared = names <= {"n"}
+    bits = grid.precision
+    return names, shared, (bits if shared else (
+        grid.points, bits, rho.expr if "rho" in names else None))
+
+
 def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
                    rho: Gauge) -> Callable[[int, Optional[int]], Num]:
-    """The one coefficient reader: ``read(n, i)`` is the value at grid index
-    i, ``read(n, None)`` row n in the :attr:`HpsCoefficients.rows` form.
+    """The one exact coefficient reader: ``read(n, i)`` is the value at grid
+    index i, ``read(n, None)`` row n in the :attr:`HpsCoefficients.rows`
+    form.
 
     A read past ``n_max`` raises :class:`TableExhaustedError`, for tables and
     truncated expression families alike.  An expression in ``n`` alone has
     one value per n, shared by every grid point and exact where rational
     (:func:`netexpr.evaluate`); any other expression has one mpf value per
-    grid point.  Values for n up to ``_CACHE_N_LIMIT`` are memoized on the
-    family, keyed by the precision and, for per-point values, by the grid
-    points and the gauge they depend on.
+    grid point.
+
+    A family keeps two memos in its ``_cache`` per scope of
+    :func:`_memo_scope` (the precision, plus the grid points and the gauge
+    for per-point values):
+
+    * the exact memo, here: the values of expression families for n up to
+      ``_CACHE_N_LIMIT``, keyed by n when shared and by (n, i) otherwise;
+    * the rounded memo of :func:`_rounded_reader`: values rounded to the
+      grid's precision, keyed the same way (tables by (n, i)), at most
+      ``_ROUNDED_MEMO_ENTRIES`` cells; a full memo keeps the cells it holds
+      and rounds any other cell on every read.  Sums read cells at the
+      sigma-ladder rungs, up to n = 10^18, so a bound on n would either
+      leave those cells out or admit any number of them; a bound on the
+      entry count caps the memo whichever cells are read.
     """
     n_max, rows, expr = coeffs.n_max, coeffs.rows, coeffs.expr
     if expr is not None:
-        names = netexpr.free_vars(expr)
-        shared = names <= {"n"}
+        names, shared, scope = _memo_scope(coeffs, grid, rho)
         bits = grid.precision
         rho_values = rho.values_on(grid) if "rho" in names else None
-        memo = coeffs._cache.setdefault(
-            bits if shared else
-            (grid.points, bits, None if rho_values is None else rho.expr), {})
+        memo = coeffs._cache.setdefault(scope, {})
 
         def value(n: int, i: Optional[int]) -> Num:
             key = n if shared else (n, i)
@@ -240,6 +277,29 @@ def coeff_accessor(coeffs: HpsCoefficients, grid: EpsGrid,
         if shared or i is not None:
             return value(n, i)
         return tuple(value(n, j) for j in range(len(grid)))
+
+    return read
+
+
+def _rounded_reader(coeffs: HpsCoefficients, grid: EpsGrid,
+                    rho: Gauge) -> Callable[[int, int], mpf]:
+    """``read(n, i)``: the :func:`coeff_accessor` value at grid index i,
+    rounded by :func:`as_mpf` to the grid's precision and kept in the
+    family's rounded memo (see :func:`coeff_accessor`).  Rounding is
+    deterministic, so a memoized value equals a fresh one."""
+    exact = coeff_accessor(coeffs, grid, rho)
+    bits = grid.precision
+    _, shared, scope = _memo_scope(coeffs, grid, rho)
+    memo = coeffs._cache.setdefault(("rounded", scope), {})
+
+    def read(n: int, i: int) -> mpf:
+        key = n if shared else (n, i)
+        found = memo.get(key)
+        if found is None:
+            found = as_mpf(exact(n, i), bits)
+            if len(memo) < _ROUNDED_MEMO_ENTRIES:
+                memo[key] = found
+        return found
 
     return read
 
@@ -335,13 +395,9 @@ def _offsets(series: HpsSeries, x: GenNum) -> Tuple[Num, ...]:
 
 
 def _abs_matrix(coeffs, grid, rho, n_max, indices):
-    acc = coeff_accessor(coeffs, grid, rho)
-    bits = grid.precision
-    out = []
-    with working_precision(bits):
-        for n in range(n_max + 1):
-            out.append([abs(as_mpf(acc(n, i), bits)) for i in indices])
-    return out
+    read = _rounded_reader(coeffs, grid, rho)
+    with working_precision(grid.precision):
+        return [[abs(read(n, i)) for i in indices] for n in range(n_max + 1)]
 
 
 def _doubling_slopes(magnitudes, tail, rho_values, bits, n_max,
@@ -655,7 +711,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
         raise TableExhaustedError(
             "table ends at n=%d, need %d"
             % (coeffs.n_max, max(n_lo, coeffs.n_max + 1)))
-    acc = coeff_accessor(coeffs, grid, rho)
+    read = _rounded_reader(coeffs, grid, rho)
     bits = grid.precision
     r_vals, limsup_vals, methods = [], [], []
     for i in range(len(grid)):
@@ -663,7 +719,7 @@ def radius(coeffs: HpsCoefficients, rho: Gauge, grid: EpsGrid,
 
         def absolute(n):
             if n not in absolutes:
-                absolutes[n] = abs(as_mpf(acc(n, i), bits))
+                absolutes[n] = abs(read(n, i))
             return absolutes[n]
 
         with working_precision(bits):
@@ -775,9 +831,10 @@ def classify_radius(rad: RadiusEstimate, rho: Gauge,
 # ---------------------------------------------------------------------------
 
 
-def _sum_terms(acc, y_i, i, bits, n_start, n_stop, budget, abort_above,
+def _sum_terms(read, y_i, i, bits, n_start, n_stop, budget, abort_above,
                target=None):
-    """Sum a(n,i) * y^n for n = n_start, n_start+1, ... in increasing n.
+    """Sum a(n,i) * y^n for n = n_start, n_start+1, ... in increasing n, the
+    coefficients read rounded through ``read`` (:func:`_rounded_reader`).
 
     Returns (value, last_n, status, peak) under the block policy (no
     ``target``) or the limit policy (``n_stop`` is the term cap) that the
@@ -806,14 +863,14 @@ def _sum_terms(acc, y_i, i, bits, n_start, n_stop, budget, abort_above,
         huge_consistent = True
         for n in range(n_start, last + 1):
             try:
-                a = acc(n, i)
+                a = read(n, i)
             except TableExhaustedError:
                 if target is not None:
                     return None, n - 1, "table-exhausted", peak
                 if tiny_run >= 1:
                     return total, n - 1, done, peak
                 raise
-            term = as_mpf(a, bits) * power
+            term = a * power
             total += term
             magnitude = abs(term)
             if magnitude != 0:
@@ -877,18 +934,18 @@ def _summation(series: HpsSeries, x: GenNum):
     """The summation kernel bound to (series, x).
 
     Returns ``sum_at(i, n_start, n_stop, budget, target=None)``, which runs
-    :func:`_sum_terms` at grid index i; the accessor, the offsets and the
-    abort sizes ``rho^-ABORT_EXPONENT`` are built once here.
+    :func:`_sum_terms` at grid index i; the rounded reader, the offsets and
+    the abort sizes ``rho^-ABORT_EXPONENT`` are built once here.
     """
     grid = series.grid
     bits = grid.precision
-    acc = coeff_accessor(series.coeffs, grid, series.rho)
+    read = _rounded_reader(series.coeffs, grid, series.rho)
     ys = _offsets(series, x)
     with working_precision(bits):
         aborts = [r ** -ABORT_EXPONENT for r in series.rho.values_on(grid)]
 
     def sum_at(i, n_start, n_stop, budget, target=None):
-        return _sum_terms(acc, ys[i], i, bits, n_start, n_stop, budget,
+        return _sum_terms(read, ys[i], i, bits, n_start, n_stop, budget,
                           aborts[i], target)
 
     return sum_at
@@ -1150,19 +1207,17 @@ def _term_magnitudes(series: HpsSeries, x: GenNum, n_max: int):
     """Per grid point, the summand sizes |a(n, eps) (x - c)^n| for n <= n_max."""
     grid = series.grid
     bits = grid.precision
-    ys = _offsets(series, x)
-    rows = coeff_rows(series.coeffs, grid, series.rho, n_max)
-    columns = zip(*[point_values(row, len(grid)) for row in rows])
-    terms = []
+    offsets = _offsets(series, x)
+    read = _rounded_reader(series.coeffs, grid, series.rho)
+    terms = [[] for _ in offsets]
     with working_precision(bits):
-        for y_i, column in zip(ys, columns):
-            y = as_mpf(y_i, bits)
-            power = mpf(1)
-            magnitudes = []
-            for a in column:
-                magnitudes.append(abs(as_mpf(a, bits) * power))
-                power *= y
-            terms.append(magnitudes)
+        ys = [as_mpf(y_i, bits) for y_i in offsets]
+        powers = [mpf(1)] * len(ys)
+        # row by row, so that an unreadable cell raises at its lowest n
+        for n in range(n_max + 1):
+            for i, y in enumerate(ys):
+                terms[i].append(abs(read(n, i) * powers[i]))
+                powers[i] *= y
     return terms
 
 

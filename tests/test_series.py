@@ -15,9 +15,10 @@ from hyperseries.nets import (ConfigError, EpsGrid, Gauge, GenNum, HyperNat,
                               is_moderate, ext_eq)
 from hyperseries.numerics import (GUARD_BITS, as_mpf, leq_with_slack,
                                   working_precision)
-from hyperseries.series import (RADIUS_WINDOW, DivergentSeriesError,
-                                HpsCoefficients, TableExhaustedError,
-                                _first_bound, check_strong_eq,
+from hyperseries.series import (_ROUNDED_MEMO_ENTRIES, RADIUS_WINDOW,
+                                DivergentSeriesError, HpsCoefficients,
+                                TableExhaustedError, _first_bound,
+                                _rounded_reader, check_strong_eq,
                                 check_weak_moderate, classify_radius,
                                 coeff_accessor, coeff_rows, converges_at,
                                 derivative_net_moderate, derived_coefficients,
@@ -168,20 +169,22 @@ CORPUS_RADIUS_DIGESTS = {
 }
 
 
-def _counting_accessor(monkeypatch):
-    """Route ``radius``'s reads through a recorder; returns the set of
-    (n, grid index) cells read."""
-    cells = set()
+def _counting_accessor(monkeypatch, reader="coeff_accessor"):
+    """Route the reads of every ``series.<reader>`` (the exact
+    :func:`coeff_accessor` or the :func:`_rounded_reader` over it) through a
+    recorder; returns the list of (n, grid index) cells read, in order."""
+    cells = []
+    build = getattr(series, reader)
 
     def counting(coeffs, grid, rho):
-        read = coeff_accessor(coeffs, grid, rho)
+        read = build(coeffs, grid, rho)
 
         def recorded(n, i):
-            cells.add((n, i))
+            cells.append((n, i))
             return read(n, i)
         return recorded
 
-    monkeypatch.setattr(series, "coeff_accessor", counting)
+    monkeypatch.setattr(series, reader, counting)
     return cells
 
 
@@ -233,11 +236,16 @@ class TestRadius:
     @pytest.mark.parametrize("text", ["1/2^n", "2^n", "eps^n/(n+1)"])
     def test_ratio_path_reads_at_most_24_cells(self, text, grid, rho,
                                                monkeypatch):
-        cells = _counting_accessor(monkeypatch)
+        rounded = _counting_accessor(monkeypatch, "_rounded_reader")
+        exact = _counting_accessor(monkeypatch)
         estimate = radius(HpsCoefficients.from_expr(text), rho, grid)
         assert set(estimate.methods) == {"ratio-extrapolation"}
         for i in range(len(grid)):
-            assert 0 < len({n for n, j in cells if j == i}) <= 24
+            assert 0 < len({n for n, j in rounded if j == i}) <= 24
+            assert len([n for n, j in exact if j == i]) <= 24
+        if text != "eps^n/(n+1)":
+            # one rounding per n serves every grid point
+            assert 0 < len(exact) <= 24
 
     @pytest.mark.parametrize("text,method,digest", RADIUS_BRANCHES,
                              ids=[row[0] for row in RADIUS_BRANCHES])
@@ -535,9 +543,47 @@ class TestCoefficientRows:
                 series_limit(series, half)
 
 
+def _fresh(family):
+    """The same family as a new object, with empty memos."""
+    return HpsCoefficients(expr=family.expr, rows=family.rows,
+                           n_max=family.n_max)
+
+
+def _radius_and_limit(family, rho, sigma, grid):
+    """The ``_mpf_`` of the radius and of the series limit at x = 1/2."""
+    center = GenNum.constant(0, grid)
+    limit = series_limit(make_series(family, center, rho, sigma, grid),
+                         GenNum.constant(Fraction(1, 2), grid))
+    return ([v._mpf_ for v in radius(family, rho, grid).r.values],
+            [v._mpf_ for v in limit.values])
+
+
 class TestCoefficientMemo:
-    """A family object reused on another grid or gauge must not return the
-    values memoized for the first one."""
+    """A family object reused on another grid, gauge or precision must not
+    return the values memoized for the first one, and a memoized rounding
+    must equal a fresh one."""
+
+    @pytest.mark.parametrize("name", sorted(corpus.EXPR_FAMILIES)
+                             + ["delta", "eps^n/(n+1)"])
+    def test_rounded_reader_rounds_as_as_mpf(self, name, rho, env):
+        if name == "delta":
+            family = env.series("delta").coeffs
+        else:
+            family = HpsCoefficients.from_expr(
+                corpus.EXPR_FAMILIES.get(name, name))
+        # every precision reads the same family object
+        for bits in (128, 256, 512):
+            grid = EpsGrid.decades(precision=bits)
+            read = _rounded_reader(family, grid, rho)
+            exact = coeff_accessor(_fresh(family), grid, rho)
+            ns = [n for n in (0, 511, 512, 513, 4096, 10 ** 6,
+                              family.n_max) if n is not None
+                  and n <= family.bound_or(n)]
+            for _ in range(2):  # a first read, then a memoized one
+                for n in ns:
+                    for i in range(len(grid)):
+                        assert read(n, i)._mpf_ == \
+                            as_mpf(exact(n, i), bits)._mpf_, (n, i, bits)
 
     def test_reader_is_freed_without_the_cycle_collector(self, grid, rho):
         # a reader inside a reference cycle keeps its memo alive until the
@@ -547,31 +593,63 @@ class TestCoefficientMemo:
         for family in (HpsCoefficients.from_expr("1/2^n"),
                        HpsCoefficients.from_expr("eps^n"),
                        HpsCoefficients.from_column([Fraction(1)] * 4)):
-            read = coeff_accessor(family, grid, rho)
-            read(3, None)
-            ref = weakref.ref(read)
-            gc.disable()
-            try:
-                del read
-                assert ref() is None
-            finally:
-                gc.enable()
+            for build, i in ((coeff_accessor, None), (_rounded_reader, 1)):
+                read = build(family, grid, rho)
+                read(3, i)
+                ref = weakref.ref(read)
+                gc.disable()
+                try:
+                    del read
+                    assert ref() is None
+                finally:
+                    gc.enable()
 
-    def test_family_reused_on_another_grid(self, rho):
+    def test_rounded_memo_is_bounded(self, grid, rho):
+        family = HpsCoefficients.from_expr("1/2^n")
+        read = _rounded_reader(family, grid, rho)
+        top = _ROUNDED_MEMO_ENTRIES + 100
+        for n in range(top + 1):
+            read(n, n % len(grid))
+        assert len(family._cache[("rounded", grid.precision)]) \
+            == _ROUNDED_MEMO_ENTRIES
+        exact = coeff_accessor(_fresh(family), grid, rho)
+        for n in (0, _ROUNDED_MEMO_ENTRIES - 1, _ROUNDED_MEMO_ENTRIES, top,
+                  top + 1):
+            for i in (0, len(grid) - 1):
+                assert read(n, i)._mpf_ == \
+                    as_mpf(exact(n, i), grid.precision)._mpf_
+        assert len(family._cache[("rounded", grid.precision)]) \
+            == _ROUNDED_MEMO_ENTRIES
+
+    def test_family_reused_on_another_grid(self, rho, sigma):
         family = HpsCoefficients.from_expr("eps^n")
-        radius(family, rho, EpsGrid.decades(1, 8))
-        shifted = EpsGrid.decades(2, 9)
-        reused = radius(family, rho, shifted)
-        fresh = radius(HpsCoefficients.from_expr("eps^n"), rho, shifted)
-        assert reused.r.values == fresh.r.values
+        _radius_and_limit(family, rho, sigma, EpsGrid.decades(1, 8))
+        for shifted in (EpsGrid.decades(2, 9),
+                        EpsGrid.decades(2, 9, precision=512)):
+            assert _radius_and_limit(family, rho, sigma, shifted) == \
+                _radius_and_limit(_fresh(family), rho, sigma, shifted)
 
-    def test_family_reused_under_another_gauge(self, grid, rho):
+    def test_family_reused_under_another_gauge(self, grid, rho, sigma):
         family = HpsCoefficients.from_expr("rho^n")
-        radius(family, rho, grid)
+        _radius_and_limit(family, rho, sigma, grid)
         squared = Gauge.from_text("eps^2", "rho")
-        reused = radius(family, squared, grid)
-        fresh = radius(HpsCoefficients.from_expr("rho^n"), squared, grid)
-        assert reused.r.values == fresh.r.values
+        for other in (grid, EpsGrid.decades(precision=512)):
+            assert _radius_and_limit(family, squared, sigma, other) == \
+                _radius_and_limit(_fresh(family), squared, sigma, other)
+
+    def test_second_limit_reads_no_exact_cell(self, rho, sigma, monkeypatch):
+        grid = EpsGrid.decades(precision=256)
+        family = HpsCoefficients.from_expr("(5/2)^n*(n+1)^2")
+        hps = make_series(family, GenNum.constant(0, grid), rho, sigma, grid)
+        x = GenNum.constant(Fraction(1, 5), grid)
+        cells = _counting_accessor(monkeypatch)
+        first = series_limit(hps, x)
+        assert cells
+        del cells[:]
+        second = series_limit(hps, x)
+        assert not cells  # every cell came from the rounded memo
+        assert [v._mpf_ for v in second.values] == \
+            [v._mpf_ for v in first.values]
 
 
 # ---------------------------------------------------------------------------
